@@ -184,7 +184,10 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         let fe_cache = DiskCache::open(dir).expect("bench fe cache");
         let seeded = load_frontend(&v1_text, Some(&fe_cache), 0).expect("seed fe cache");
-        assert_eq!(seeded.stats.fe_cache_hits, 0, "first load misses everywhere");
+        assert_eq!(
+            seeded.stats.fe_cache_hits, 0,
+            "first load misses everywhere"
+        );
         let mut warm = seeded.stats;
         samples.push(bench("frontend/load_warm_100k", 3, || {
             warm = load_frontend(&v1_text, Some(&fe_cache), 0)
@@ -377,7 +380,10 @@ fn main() {
         ("incr_state_lookups", incr_state_counters.1),
         ("frontend_funcs", fe_warm_stats.funcs as u64),
         ("frontend_warm_fe_hits", fe_warm_stats.fe_cache_hits as u64),
-        ("frontend_edit_fe_misses", fe_edit_stats.fe_cache_misses as u64),
+        (
+            "frontend_edit_fe_misses",
+            fe_edit_stats.fe_cache_misses as u64,
+        ),
         ("incr_cold_parse_ms", incr_cold_fe.0),
         ("incr_cold_gen_ms", incr_cold_fe.1),
         ("incr_cold_fe_hits", incr_cold_fe.2),

@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kaleidoscope_bench::timing::{bench, Sample};
-use kaleidoscope_pta::{steensgaard, Analysis, NullObserver, SolveOptions};
+use kaleidoscope_pta::{steensgaard, Analysis, NullObserver, SolveOptions, SolveStats};
 
 /// System allocator wrapped with monotonic allocation counters, so a bench
 /// case can report "bytes allocated per solve" — a direct, variance-free
@@ -67,12 +67,23 @@ struct Case {
     pops: usize,
     union_words: u64,
     peak_pts_bytes: usize,
-    threads: usize,
-    strata: usize,
-    max_wave_width: usize,
-    barrier_stalls: usize,
     seeded_nodes: usize,
     total_nodes: usize,
+}
+
+impl Case {
+    fn new(sample: Sample, (alloc_bytes, alloc_calls): (u64, u64), s: &SolveStats) -> Case {
+        Case {
+            sample,
+            alloc_bytes,
+            alloc_calls,
+            pops: s.iterations,
+            union_words: s.union_words,
+            peak_pts_bytes: s.peak_pts_bytes,
+            seeded_nodes: s.incr_seeded_nodes,
+            total_nodes: s.node_count,
+        }
+    }
 }
 
 fn json(cases: &[Case]) -> String {
@@ -81,8 +92,7 @@ fn json(cases: &[Case]) -> String {
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"min_ms\": {:.4}, \"median_ms\": {:.4}, \"mean_ms\": {:.4}, \
              \"iters\": {}, \"alloc_bytes\": {}, \"alloc_calls\": {}, \"pops\": {}, \
-             \"union_words\": {}, \"peak_pts_bytes\": {}, \"threads\": {}, \"strata\": {}, \
-             \"max_wave_width\": {}, \"barrier_stalls\": {}, \"seeded_nodes\": {}, \
+             \"union_words\": {}, \"peak_pts_bytes\": {}, \"seeded_nodes\": {}, \
              \"total_nodes\": {}}}{}\n",
             c.sample.label,
             c.sample.min_ms,
@@ -94,10 +104,6 @@ fn json(cases: &[Case]) -> String {
             c.pops,
             c.union_words,
             c.peak_pts_bytes,
-            c.threads,
-            c.strata,
-            c.max_wave_width,
-            c.barrier_stalls,
             c.seeded_nodes,
             c.total_nodes,
             if i + 1 == cases.len() { "" } else { "," }
@@ -128,64 +134,32 @@ fn main() {
                 let _ = Analysis::run(&m.module, &opts);
             });
             let mut stats = None;
-            let (alloc_bytes, alloc_calls) = alloc_traffic(|| {
+            let alloc = alloc_traffic(|| {
                 stats = Some(Analysis::run(&m.module, &opts).result.stats);
             });
             let stats = stats.expect("solve ran");
-            cases.push(Case {
-                sample,
-                alloc_bytes,
-                alloc_calls,
-                pops: stats.iterations,
-                union_words: stats.union_words,
-                peak_pts_bytes: stats.peak_pts_bytes,
-                threads: 0,
-                strata: stats.strata,
-                max_wave_width: stats.max_wave_width,
-                barrier_stalls: stats.barrier_stalls,
-                seeded_nodes: 0,
-                total_nodes: stats.node_count,
-            });
+            cases.push(Case::new(sample, alloc, &stats));
         }
     }
 
-    // Wave-front schedule at scale: a deterministic ~100k-statement module
-    // from the fuzz scale corpus, solved under the classic schedule (t0)
-    // and the wave schedule at 1/2/4 worker threads. Outputs are
-    // byte-identical across thread counts (see
-    // crates/pta/tests/solver_parallel.rs); this measures only wall clock
-    // and the wave-shape counters.
+    // Scale: a deterministic ~100k-statement module from the fuzz scale
+    // corpus. The `t0` label is historical (it named the sequential
+    // schedule next to a since-removed threaded one) and is kept so
+    // `scripts/bench_guard.sh` still finds its baseline.
     let scale = kaleidoscope_fuzz::scale::corpus_module(0xca1e, 100_000);
     println!("scale corpus: {} statements", scale.inst_count());
     let scale_iters = if smoke { 1 } else { 5 };
-    for threads in [0usize, 1, 2, 4] {
-        let opts = SolveOptions {
-            solver_threads: threads,
-            ..SolveOptions::baseline()
-        };
-        let label = format!("solver/scale/andersen-100k/t{threads}");
-        let sample = bench(&label, scale_iters, || {
+    {
+        let opts = SolveOptions::baseline();
+        let sample = bench("solver/scale/andersen-100k/t0", scale_iters, || {
             let _ = Analysis::run(&scale, &opts);
         });
         let mut stats = None;
-        let (alloc_bytes, alloc_calls) = alloc_traffic(|| {
+        let alloc = alloc_traffic(|| {
             stats = Some(Analysis::run(&scale, &opts).result.stats);
         });
         let stats = stats.expect("solve ran");
-        cases.push(Case {
-            sample,
-            alloc_bytes,
-            alloc_calls,
-            pops: stats.iterations,
-            union_words: stats.union_words,
-            peak_pts_bytes: stats.peak_pts_bytes,
-            threads,
-            strata: stats.strata,
-            max_wave_width: stats.max_wave_width,
-            barrier_stalls: stats.barrier_stalls,
-            seeded_nodes: 0,
-            total_nodes: stats.node_count,
-        });
+        cases.push(Case::new(sample, alloc, &stats));
     }
 
     // Incremental re-solve: a 1-function watch edit on the same 100k
@@ -206,24 +180,11 @@ fn main() {
             let _ = Analysis::run(&edited, &opts);
         });
         let mut stats = None;
-        let (alloc_bytes, alloc_calls) = alloc_traffic(|| {
+        let alloc = alloc_traffic(|| {
             stats = Some(Analysis::run(&edited, &opts).result.stats);
         });
         let stats = stats.expect("solve ran");
-        cases.push(Case {
-            sample,
-            alloc_bytes,
-            alloc_calls,
-            pops: stats.iterations,
-            union_words: stats.union_words,
-            peak_pts_bytes: stats.peak_pts_bytes,
-            threads: 0,
-            strata: stats.strata,
-            max_wave_width: stats.max_wave_width,
-            barrier_stalls: stats.barrier_stalls,
-            seeded_nodes: 0,
-            total_nodes: stats.node_count,
-        });
+        cases.push(Case::new(sample, alloc, &stats));
 
         let sample = bench("solver/incr/andersen-100k/warm-edit", scale_iters, || {
             let _ = Analysis::try_run_incremental(
@@ -237,7 +198,7 @@ fn main() {
             );
         });
         let mut stats = None;
-        let (alloc_bytes, alloc_calls) = alloc_traffic(|| {
+        let alloc = alloc_traffic(|| {
             let (a, _) = Analysis::try_run_incremental(
                 &scale,
                 None,
@@ -256,20 +217,7 @@ fn main() {
             "incr warm edit: {} seeded of {} nodes, {} pops",
             stats.incr_seeded_nodes, stats.node_count, stats.iterations
         );
-        cases.push(Case {
-            sample,
-            alloc_bytes,
-            alloc_calls,
-            pops: stats.iterations,
-            union_words: stats.union_words,
-            peak_pts_bytes: stats.peak_pts_bytes,
-            threads: 0,
-            strata: stats.strata,
-            max_wave_width: stats.max_wave_width,
-            barrier_stalls: stats.barrier_stalls,
-            seeded_nodes: stats.incr_seeded_nodes,
-            total_nodes: stats.node_count,
-        });
+        cases.push(Case::new(sample, alloc, &stats));
 
         // Leaf edit: the new function reads shared state but publishes
         // nothing back into it — the common watch-mode shape. The seeded
@@ -290,7 +238,7 @@ fn main() {
             );
         });
         let mut stats = None;
-        let (alloc_bytes, alloc_calls) = alloc_traffic(|| {
+        let alloc = alloc_traffic(|| {
             let (a, _) = Analysis::try_run_incremental(
                 &scale,
                 None,
@@ -309,20 +257,7 @@ fn main() {
             "incr warm leaf: {} seeded of {} nodes, {} pops",
             stats.incr_seeded_nodes, stats.node_count, stats.iterations
         );
-        cases.push(Case {
-            sample,
-            alloc_bytes,
-            alloc_calls,
-            pops: stats.iterations,
-            union_words: stats.union_words,
-            peak_pts_bytes: stats.peak_pts_bytes,
-            threads: 0,
-            strata: stats.strata,
-            max_wave_width: stats.max_wave_width,
-            barrier_stalls: stats.barrier_stalls,
-            seeded_nodes: stats.incr_seeded_nodes,
-            total_nodes: stats.node_count,
-        });
+        cases.push(Case::new(sample, alloc, &stats));
     }
 
     for name in ["MbedTLS", "TinyDTLS"] {

@@ -127,10 +127,10 @@ pub fn parse_config(name: &str) -> Result<PolicyConfig, CliError> {
 /// `cache_max_bytes` caps the store's total size (oldest artifacts are
 /// evicted at publish time); `0`/`None` leaves it unbounded.
 ///
-/// `solver_threads` selects the wave-front parallel propagation schedule
-/// inside each solve (`--solver-threads <n>`; `0` = the classic sequential
-/// schedule). Wave output is byte-identical at any thread count ≥ 1 and is
-/// cached separately from classic-schedule reports.
+/// `solver_threads` (`--solver-threads <n>`) is the thread count of the
+/// frontend body pass for textual-IR files (see [`cmd_analyze_full`]);
+/// every solve runs the sequential worklist schedule, so the report is the
+/// same at any count.
 ///
 /// `incremental_from` (`--incremental-from <fp>`) names the fingerprint of
 /// a previously-analyzed revision whose solved-state snapshot (published
@@ -216,13 +216,12 @@ pub fn cmd_analyze_full(
         Source::File(path) if !path.ends_with(".c") => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
-            let loaded = load_frontend(&text, cache.as_deref(), solver_threads)
-                .map_err(|e| {
-                    err(format!(
-                        "parse error in `{path}`: {e}\n{}",
-                        e.snippet(&text)
-                    ))
-                })?;
+            let loaded = load_frontend(&text, cache.as_deref(), solver_threads).map_err(|e| {
+                err(format!(
+                    "parse error in `{path}`: {e}\n{}",
+                    e.snippet(&text)
+                ))
+            })?;
             let problems = verify_module(&loaded.module);
             if !problems.is_empty() {
                 return Err(err(format!(
@@ -245,7 +244,7 @@ pub fn cmd_analyze_full(
             None
         },
         stats,
-        wave: solver_threads > 0,
+        wave: false,
     };
     let fp = module.fingerprint();
     let fe_stats = frontend.as_ref().map(|(_, s)| *s);
@@ -258,7 +257,7 @@ pub fn cmd_analyze_full(
             });
         }
     }
-    let mut ex = Executor::with_jobs(jobs).with_solver_threads(solver_threads);
+    let mut ex = Executor::with_jobs(jobs);
     if let Some((blocks, _)) = frontend {
         ex = ex.with_frontend(fp, blocks);
     }
@@ -433,8 +432,7 @@ pub struct ServeArgs {
     pub shards: usize,
     /// Executor threads per worker solve (`0` = auto).
     pub jobs: usize,
-    /// Default intra-solve wave-front thread count for workers (`0` =
-    /// classic sequential schedule); requests may override per call.
+    /// Frontend body-pass threads per worker (`0` = inline).
     pub solver_threads: usize,
     /// Cap on the shared artifact store's total bytes (`None` = unbounded).
     pub cache_max_bytes: Option<u64>,
@@ -644,8 +642,6 @@ pub struct RequestArgs {
     pub stats: bool,
     /// Per-request solve budget (clamped by the tenant quota).
     pub budget: Option<usize>,
-    /// Intra-solve wave-front thread count (`None` = worker default).
-    pub solver_threads: Option<usize>,
     /// Fault directive (testing; requires a `--unsafe-faults` daemon).
     pub fault: Option<String>,
     /// Connect/read/write timeout in milliseconds (`None` = the client
@@ -702,7 +698,6 @@ pub fn cmd_request(args: &RequestArgs) -> Result<RequestOutput, CliError> {
         config: args.config.clone(),
         stats: args.stats,
         budget: args.budget,
-        solver_threads: args.solver_threads,
         fault: args.fault.clone(),
     };
     let mut opts = kaleidoscope_serve::ClientOptions {
@@ -777,9 +772,9 @@ OPTIONS:
     --growth <n>       introspection growth threshold
     --types <n>        introspection type-diversity threshold
     --jobs <n>         analyze/serve/worker: executor workers (0 = auto)
-    --solver-threads <n>  analyze/serve/worker/request: wave-front parallel
-                       propagation inside each solve (0 = classic sequential
-                       schedule; output is identical at any count >= 1)
+    --solver-threads <n>  analyze/serve/worker: threads for the frontend
+                       body pass of .kir input (parse and constraint
+                       recording; 0 = inline; output identical at any count)
     --stats            analyze/request: print solver counters per config
     --budget <n>       analyze/request: cap each solve at <n> worklist
                        iterations; exhausted cells degrade (fallback, then
@@ -890,9 +885,7 @@ mod tests {
         assert!(with_stats.contains("solver[optimistic]:"));
         assert!(with_stats.contains("union-words="));
         assert!(with_stats.contains("peak-pts-bytes="));
-        assert!(with_stats.contains("strata="), "{with_stats}");
-        assert!(with_stats.contains("max-wave-width="));
-        assert!(with_stats.contains("barrier-stalls="));
+        assert!(!with_stats.contains("strata="), "{with_stats}");
         // The stats lines are additive: stripping them recovers the plain report.
         let stripped: String = with_stats
             .lines()
@@ -904,10 +897,19 @@ mod tests {
 
     #[test]
     fn analyze_solver_threads_output_is_thread_count_invariant() {
-        let src = Source::Model("TinyDTLS".into());
-        let w1 = cmd_analyze(&src, None, 1, true, None, None, 1, None, None).unwrap();
-        let w4 = cmd_analyze(&src, None, 1, true, None, None, 4, None, None).unwrap();
-        assert_eq!(w1, w4, "wave schedule output independent of thread count");
+        // Only textual IR goes through the threaded frontend body pass.
+        let dir = std::env::temp_dir().join(format!("kd-cli-threads-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tiny.kir");
+        let model = kaleidoscope_apps::model("TinyDTLS").expect("model");
+        std::fs::write(&path, model.module.to_text()).unwrap();
+        let src = Source::File(path.to_string_lossy().into_owned());
+        let t0 = cmd_analyze(&src, None, 1, true, None, None, 0, None, None).unwrap();
+        for threads in [1, 4] {
+            let t = cmd_analyze(&src, None, 1, true, None, None, threads, None, None).unwrap();
+            assert_eq!(t0, t, "report independent of --solver-threads {threads}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1036,7 +1038,9 @@ mod tests {
             None,
         )
         .unwrap();
-        let fe1 = first.frontend.expect("textual-IR source has frontend stats");
+        let fe1 = first
+            .frontend
+            .expect("textual-IR source has frontend stats");
         assert_eq!(fe1.fe_cache_hits, 0, "cold revision has no fe hits");
         assert_eq!(fe1.fe_cache_misses, fe1.funcs);
         // v2 differs by one appended function: all shared bodies hit.
@@ -1054,7 +1058,10 @@ mod tests {
         .unwrap();
         let fe2 = second.frontend.expect("frontend stats");
         assert_eq!(fe2.funcs, fe1.funcs + 1);
-        assert_eq!(fe2.fe_cache_hits, fe1.funcs, "shared bodies splice from fe/");
+        assert_eq!(
+            fe2.fe_cache_hits, fe1.funcs,
+            "shared bodies splice from fe/"
+        );
         assert_eq!(fe2.fe_cache_misses, 1, "only the new function regenerates");
         // The spliced run's report is byte-identical to the cacheless one.
         assert_eq!(second.report, cold);

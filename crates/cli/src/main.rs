@@ -4,8 +4,8 @@
 use std::process::ExitCode;
 
 use kaleidoscope_cli::{
-    cmd_analyze_full, cmd_cfi, cmd_debloat, cmd_fmt, cmd_introspect, cmd_request, cmd_run, cmd_serve,
-    cmd_worker, CliError, RequestArgs, ServeArgs, Source, USAGE,
+    cmd_analyze_full, cmd_cfi, cmd_debloat, cmd_fmt, cmd_introspect, cmd_request, cmd_run,
+    cmd_serve, cmd_worker, CliError, RequestArgs, ServeArgs, Source, USAGE,
 };
 
 struct Args {
@@ -189,6 +189,12 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
                 .addr
                 .clone()
                 .ok_or_else(|| CliError("request needs --addr <host:port>".into()))?;
+            if args.solver_threads.is_some() {
+                // The daemon's workers own their frontend thread count.
+                return Err(CliError(
+                    "request takes no --solver-threads (set it on `kd serve`)".into(),
+                ));
+            }
             let out = cmd_request(&RequestArgs {
                 addr,
                 source: args.source.clone(),
@@ -198,7 +204,6 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
                 tenant: args.tenant.clone(),
                 stats: args.stats,
                 budget: args.budget,
-                solver_threads: args.solver_threads,
                 fault: args.fault.clone(),
                 timeout_ms: args.timeout_ms,
                 retries: args.retries,
@@ -243,7 +248,7 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
                     );
                 }
             }
-            return Ok(out.report);
+            Ok(out.report)
         }
         "cfi" => cmd_cfi(source, args.config.as_deref()),
         "introspect" => cmd_introspect(source, args.growth, args.types),

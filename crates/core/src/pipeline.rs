@@ -236,18 +236,12 @@ pub fn fallback_analysis(module: &Module) -> Analysis {
 }
 
 /// Budgeted variant of [`fallback_analysis`]: a typed error instead of a
-/// panic when the budget is exhausted. `solver_threads` selects the
-/// wave-front parallel propagation schedule inside the solve (`0` = the
-/// classic sequential schedule).
+/// panic when the budget is exhausted.
 pub fn try_fallback_analysis(
     module: &Module,
     budget: &SolveBudget,
-    solver_threads: usize,
 ) -> Result<Analysis, SolveError> {
-    let opts = SolveOptions {
-        solver_threads,
-        ..SolveOptions::baseline_with_budget(budget.clone())
-    };
+    let opts = SolveOptions::baseline_with_budget(budget.clone());
     Analysis::try_run(module, &opts)
 }
 
@@ -257,14 +251,16 @@ pub fn try_fallback_analysis(
 pub fn try_fallback_analysis_fe(
     module: &Module,
     budget: &SolveBudget,
-    solver_threads: usize,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<Analysis, SolveError> {
-    let opts = SolveOptions {
-        solver_threads,
-        ..SolveOptions::baseline_with_budget(budget.clone())
-    };
-    Analysis::try_run_full_fe(module, &opts, None, &mut kaleidoscope_pta::NullObserver, blocks)
+    let opts = SolveOptions::baseline_with_budget(budget.clone());
+    Analysis::try_run_full_fe(
+        module,
+        &opts,
+        None,
+        &mut kaleidoscope_pta::NullObserver,
+        blocks,
+    )
 }
 
 /// Incremental-aware variant of [`try_fallback_analysis`]: when `prev`
@@ -275,10 +271,9 @@ pub fn try_fallback_analysis_fe(
 pub fn try_fallback_analysis_incr(
     module: &Module,
     budget: &SolveBudget,
-    solver_threads: usize,
     prev: Option<(&Module, &SolvedState)>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    try_fallback_analysis_incr_fe(module, budget, solver_threads, prev, None, None)
+    try_fallback_analysis_incr_fe(module, budget, prev, None, None)
 }
 
 /// [`try_fallback_analysis_incr`] with pre-recorded frontend constraint
@@ -288,15 +283,11 @@ pub fn try_fallback_analysis_incr(
 pub fn try_fallback_analysis_incr_fe(
     module: &Module,
     budget: &SolveBudget,
-    solver_threads: usize,
     prev: Option<(&Module, &SolvedState)>,
     prev_blocks: Option<&ModuleBlocks>,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    let opts = SolveOptions {
-        solver_threads,
-        ..SolveOptions::baseline_with_budget(budget.clone())
-    };
+    let opts = SolveOptions::baseline_with_budget(budget.clone());
     match prev {
         Some((prev_module, prev_state)) => Analysis::try_run_incremental_fe(
             prev_module,
@@ -343,18 +334,15 @@ pub fn optimistic_analysis(module: &Module, config: PolicyConfig, ctx_plan: &Ctx
     )
 }
 
-/// Budgeted variant of [`optimistic_analysis`]. `solver_threads` selects
-/// the wave-front schedule inside the solve (`0` = sequential).
+/// Budgeted variant of [`optimistic_analysis`].
 pub fn try_optimistic_analysis(
     module: &Module,
     config: PolicyConfig,
     ctx_plan: &CtxPlan,
     budget: &SolveBudget,
-    solver_threads: usize,
 ) -> Result<Analysis, SolveError> {
     let opts = SolveOptions {
         budget: budget.clone(),
-        solver_threads,
         ..SolveOptions::optimistic(config.pa, config.pwc)
     };
     Analysis::try_run_full(
@@ -373,12 +361,10 @@ pub fn try_optimistic_analysis_fe(
     config: PolicyConfig,
     ctx_plan: &CtxPlan,
     budget: &SolveBudget,
-    solver_threads: usize,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<Analysis, SolveError> {
     let opts = SolveOptions {
         budget: budget.clone(),
-        solver_threads,
         ..SolveOptions::optimistic(config.pa, config.pwc)
     };
     Analysis::try_run_full_fe(
@@ -399,39 +385,26 @@ pub fn try_optimistic_analysis_incr(
     config: PolicyConfig,
     ctx_plan: &CtxPlan,
     budget: &SolveBudget,
-    solver_threads: usize,
     prev: Option<(&Module, &SolvedState)>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    try_optimistic_analysis_incr_fe(
-        module,
-        config,
-        ctx_plan,
-        budget,
-        solver_threads,
-        prev,
-        None,
-        None,
-    )
+    try_optimistic_analysis_incr_fe(module, config, ctx_plan, budget, prev, None, None)
 }
 
 /// [`try_optimistic_analysis_incr`] with pre-recorded frontend constraint
 /// blocks. Blocks are plan-free: functions the context plan touches are
 /// regenerated live during the splice, so the optimistic program is still
 /// identical to full live generation.
-#[allow(clippy::too_many_arguments)]
 pub fn try_optimistic_analysis_incr_fe(
     module: &Module,
     config: PolicyConfig,
     ctx_plan: &CtxPlan,
     budget: &SolveBudget,
-    solver_threads: usize,
     prev: Option<(&Module, &SolvedState)>,
     prev_blocks: Option<&ModuleBlocks>,
     blocks: Option<&ModuleBlocks>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
     let opts = SolveOptions {
         budget: budget.clone(),
-        solver_threads,
         ..SolveOptions::optimistic(config.pa, config.pwc)
     };
     let plan = if config.ctx { Some(ctx_plan) } else { None };
@@ -762,7 +735,7 @@ mod tests {
     fn budgeted_stages_match_unbudgeted_when_sufficient() {
         let m = lighttpd_module();
         let a = fallback_analysis(&m);
-        let b = try_fallback_analysis(&m, &SolveBudget::default(), 0).expect("default budget");
+        let b = try_fallback_analysis(&m, &SolveBudget::default()).expect("default budget");
         let f = m.func_by_name("http_write_header").unwrap();
         for l in 0..m.func(f).locals.len() as u32 {
             assert_eq!(
@@ -771,11 +744,11 @@ mod tests {
             );
         }
         let tiny = SolveBudget::iterations(1);
-        assert!(try_fallback_analysis(&m, &tiny, 0).is_err());
+        assert!(try_fallback_analysis(&m, &tiny).is_err());
         let cfg = PolicyConfig::all();
         let plan = ctx_plan_for(&m, cfg);
-        assert!(try_optimistic_analysis(&m, cfg, &plan, &tiny, 0).is_err());
-        assert!(try_optimistic_analysis(&m, cfg, &plan, &SolveBudget::default(), 0).is_ok());
+        assert!(try_optimistic_analysis(&m, cfg, &plan, &tiny).is_err());
+        assert!(try_optimistic_analysis(&m, cfg, &plan, &SolveBudget::default()).is_ok());
     }
 
     #[test]

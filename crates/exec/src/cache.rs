@@ -70,11 +70,14 @@ enum Slot {
 }
 
 /// One cache entry: the once-initialized artifact plus the content digest
-/// recorded when it was stored (`0` = not yet digested).
+/// recorded when it was stored (`0` = not yet digested). `computing`
+/// serializes fallible computes of the entry, so workers racing on one
+/// key solve it once and the rest wait for the result.
 #[derive(Debug, Default)]
 struct Entry {
     cell: OnceLock<Slot>,
     digest: AtomicU64,
+    computing: Mutex<()>,
 }
 
 /// Why a fallible artifact fetch did not return an artifact.
@@ -243,14 +246,21 @@ impl ArtifactCache {
             Some(slot) => slot.clone(),
             None => {
                 // Compute outside `get_or_init` so a failed solve leaves
-                // the slot empty. If another worker races us to the slot,
-                // its (identical, content-addressed) artifact wins.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let a = compute().map_err(FetchError::Solve)?;
-                entry
-                    .cell
-                    .get_or_init(|| Slot::Analysis(Arc::new(a)))
-                    .clone()
+                // the slot empty, but under the entry's compute lock so a
+                // racing worker waits and then hits. A compute that
+                // panicked poisons nothing: the slot is only written whole.
+                let _computing = entry.computing.lock().unwrap_or_else(|e| e.into_inner());
+                match entry.cell.get() {
+                    Some(slot) => slot.clone(),
+                    None => {
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        let a = compute().map_err(FetchError::Solve)?;
+                        entry
+                            .cell
+                            .get_or_init(|| Slot::Analysis(Arc::new(a)))
+                            .clone()
+                    }
+                }
             }
         };
         let digest = slot_digest(&stored);

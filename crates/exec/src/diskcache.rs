@@ -46,8 +46,8 @@
 //! (`k<key>`), whether a context plan fed generation (`c`),
 //! `PTS_REPR_VERSION` (`v<N>`) and
 //! [`INCR_STATE_VERSION`](kaleidoscope_pta::INCR_STATE_VERSION) (`i<M>`) —
-//! a snapshot must never warm a solve under a different schedule, policy
-//! set, or representation.
+//! a snapshot must never warm a solve under a different policy set or
+//! representation.
 //!
 //! **Tenant heads** record the last module fingerprint served for each
 //! tenant, so the daemon can auto-select a warm-start snapshot for
@@ -56,11 +56,9 @@
 //! cold solve, never a wrong answer, so they carry no integrity sidecar
 //! and are excluded from the eviction cap.
 //!
-//! `<scope>` is `call` (the full Table-3 matrix) or `c<k>` for a single
-//! configuration (`k` = [`PolicyConfig::key`]), with an `s` suffix when
-//! solver stats rows are included and a `w` suffix when the report was
-//! produced under the wave-front solver schedule (which can differ from the
-//! classic schedule in lazily-created node ids). `<N>` is
+//! `<scope>` is `all` (the full Table-3 matrix) or `c<k>` for a single
+//! configuration (`k` = [`PolicyConfig::key`]), with an `s<R>` suffix when
+//! solver stats rows are included (`R` versions the row layout). `<N>` is
 //! [`PTS_REPR_VERSION`](kaleidoscope_pta::PTS_REPR_VERSION), so a
 //! representation change can never serve a stale report.
 //!
@@ -104,12 +102,17 @@ pub struct ReportScope {
     pub config: Option<PolicyConfig>,
     /// Whether solver counters are included in the report.
     pub stats: bool,
-    /// Whether the wave-front solver schedule produced the report. The
-    /// thread *count* is deliberately absent: wave output is byte-identical
-    /// at any count ≥ 1, but wave and classic schedules may differ in
-    /// lazily-created node ids, so they must never alias.
+    /// Ignored. It once selected a since-removed alternative solver
+    /// schedule and is kept only so existing struct literals still build;
+    /// it never changes the report path.
     pub wave: bool,
 }
+
+/// Version of the solver-stats row layout, part of every stats scope's
+/// tag. Bump it whenever the row's counters change, so a report cached
+/// under the old layout is a miss rather than served with a stale row.
+/// v2: the three wave-schedule counters left the row.
+const STATS_ROW_VERSION: u32 = 2;
 
 impl ReportScope {
     /// The filename fragment for this scope.
@@ -119,10 +122,7 @@ impl ReportScope {
             Some(c) => format!("c{}", c.key()),
         };
         if self.stats {
-            base.push('s');
-        }
-        if self.wave {
-            base.push('w');
+            base.push_str(&format!("s{STATS_ROW_VERSION}"));
         }
         base
     }
@@ -670,29 +670,42 @@ mod tests {
     }
 
     #[test]
-    fn wave_scope_does_not_alias_classic_reports() {
-        let cache = DiskCache::open(tmpdir("wave")).unwrap();
-        let classic = ReportScope {
+    fn stats_reports_cached_before_the_row_changed_are_misses() {
+        let dir = tmpdir("statsrow");
+        let cache = DiskCache::open(&dir).unwrap();
+        let stats = ReportScope {
             config: None,
-            stats: false,
+            stats: true,
             wave: false,
         };
-        let wave = ReportScope {
-            config: None,
+        // A verified report under the pre-v2 stats tag (`…-alls-v<P>`),
+        // whose stats row still carried the wave counters.
+        let old = dir.join("reports").join(format!(
+            "{:016x}-alls-v{}.txt",
+            9,
+            kaleidoscope_pta::PTS_REPR_VERSION
+        ));
+        let text = "solver[fallback]: pops=1 strata=0\n";
+        fs::write(&old, text).unwrap();
+        let sum = format!("{:016x} {}", fnv64(text.as_bytes()), text.len());
+        fs::write(old.with_extension("sum"), sum).unwrap();
+        assert_eq!(cache.get_report(9, stats), None, "stale stats row served");
+        // Non-stats report paths are unchanged, and `wave` never matters.
+        let plain = ReportScope {
             stats: false,
-            wave: true,
+            ..stats
         };
-        cache.put_report(9, classic, "classic schedule\n").unwrap();
-        assert_eq!(cache.get_report(9, wave), None, "schedules must not alias");
-        cache.put_report(9, wave, "wave schedule\n").unwrap();
-        assert_eq!(
-            cache.get_report(9, classic).as_deref(),
-            Some("classic schedule\n")
-        );
-        assert_eq!(
-            cache.get_report(9, wave).as_deref(),
-            Some("wave schedule\n")
-        );
+        assert!(cache.report_path(9, plain).ends_with(format!(
+            "{:016x}-all-v{}.txt",
+            9,
+            kaleidoscope_pta::PTS_REPR_VERSION
+        )));
+        cache.put_report(9, stats, "fresh\n").unwrap();
+        let wave = ReportScope {
+            wave: true,
+            ..stats
+        };
+        assert_eq!(cache.get_report(9, wave).as_deref(), Some("fresh\n"));
     }
 
     #[test]

@@ -28,14 +28,13 @@
 //! would produce.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use kaleidoscope_ir::codec::{decode_function, encode_function};
 use kaleidoscope_ir::{
-    parse_header, ByteReader, ByteWriter, FuncId, Function, GlobalId, Inst, Module, Operand,
-    ParseError, StructId, Terminator, Type,
+    claim_indexed, parse_header, ByteReader, ByteWriter, FuncId, Function, GlobalId, Inst, Module,
+    Operand, ParseError, StructId, Terminator, Type,
 };
 use kaleidoscope_pta::{build_func_block, FuncBlock, ModuleBlocks};
 
@@ -212,7 +211,12 @@ fn decode_entry(
     for _ in 0..ns {
         let id = r.uint().ok()? as usize;
         let name = r.str().ok()?;
-        if header.types.get(StructId(id as u32)).map(|d| d.name.as_str()) != Some(name.as_str()) {
+        if header
+            .types
+            .get(StructId(id as u32))
+            .map(|d| d.name.as_str())
+            != Some(name.as_str())
+        {
             return None;
         }
     }
@@ -232,36 +236,6 @@ enum Lowered {
     Parsed(Function),
 }
 
-/// Run `work(i)` for every `i in 0..n` across `workers` scoped threads
-/// using atomic work claiming; results land in index-ordered slots so the
-/// outcome is deterministic regardless of interleaving.
-fn claim_indexed<T: Send>(n: usize, workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    if workers <= 1 || n <= 1 {
-        for (i, s) in slots.iter().enumerate() {
-            *s.lock().unwrap() = Some(work(i));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let v = work(i);
-                    *slots[i].lock().unwrap() = Some(v);
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("work slot filled"))
-        .collect()
-}
-
 /// Parse module text into a module plus replayable constraint blocks,
 /// serving unchanged functions from `cache`'s `fe/` namespace and fanning
 /// the rest across `threads` worker threads (`0` or `1` means inline).
@@ -277,7 +251,6 @@ pub fn load_frontend(
     let t0 = Instant::now();
     let shell = parse_header(text)?;
     let n = shell.func_count();
-    let workers = threads.max(1).min(n.max(1));
 
     let keys: Vec<u64> = if cache.is_some() {
         (0..n)
@@ -286,9 +259,9 @@ pub fn load_frontend(
                 let (bs, be) = shell.body_span(i);
                 fnv64_chunks(&[
                     &FE_CACHE_VERSION.to_le_bytes(),
-                    text[ss..se].as_bytes(),
+                    &text.as_bytes()[ss..se],
                     b"\0",
-                    text[bs..be].as_bytes(),
+                    &text.as_bytes()[bs..be],
                 ])
             })
             .collect()
@@ -299,7 +272,7 @@ pub fn load_frontend(
     let header = shell.module();
     let func_count = n;
     let global_count = header.iter_globals().count();
-    let lowered: Vec<Result<Lowered, ParseError>> = claim_indexed(n, workers, |i| {
+    let lowered: Vec<Result<Lowered, ParseError>> = claim_indexed(n, threads, |i| {
         if let Some(c) = cache {
             if let Some(bytes) = c.get_fe(keys[i]) {
                 if let Some((f, b)) = decode_entry(&bytes, header, func_count, global_count) {
@@ -332,7 +305,7 @@ pub fn load_frontend(
 
     let t1 = Instant::now();
     let miss_idx: Vec<usize> = (0..n).filter(|&i| blocks[i].is_none()).collect();
-    let built = claim_indexed(miss_idx.len(), workers.min(miss_idx.len().max(1)), |j| {
+    let built = claim_indexed(miss_idx.len(), threads, |j| {
         let i = miss_idx[j];
         let fb = build_func_block(&module, ids[i]);
         if let Some(c) = cache {
@@ -347,7 +320,10 @@ pub fn load_frontend(
     let gen_ms = t1.elapsed().as_millis() as u64;
 
     let blocks = ModuleBlocks {
-        funcs: blocks.into_iter().map(|b| b.expect("block filled")).collect(),
+        funcs: blocks
+            .into_iter()
+            .map(|b| b.expect("block filled"))
+            .collect(),
     };
     Ok(LoadedFrontend {
         module,
@@ -378,7 +354,10 @@ mod tests {
     /// A module exercising calls, globals, structs, and indirect calls.
     fn sample_text() -> String {
         let mut m = Module::new("fe_sample");
-        let s = m.types.declare("pair", vec![Type::Int, Type::ptr(Type::Int)]).unwrap();
+        let s = m
+            .types
+            .declare("pair", vec![Type::Int, Type::ptr(Type::Int)])
+            .unwrap();
         let g = m.add_global("gp", Type::ptr(Type::Int)).unwrap();
         let callee = {
             let mut b = FunctionBuilder::new(

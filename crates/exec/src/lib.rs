@@ -62,24 +62,23 @@ mod report;
 
 pub use cache::{ArtifactCache, CacheStats, FetchError};
 pub use diskcache::{DiskCache, DiskCacheStats, ReportScope, CACHE_DIR_ENV, FE_CACHE_VERSION};
-pub use frontend::{load_frontend, FrontendStats, LoadedFrontend};
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultKind, FaultPlan};
+pub use frontend::{load_frontend, FrontendStats, LoadedFrontend};
 pub use report::{render_analyze, AnalyzeReport};
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
+#[cfg(feature = "fault-injection")]
+use kaleidoscope::try_optimistic_analysis;
 use kaleidoscope::{
     analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result, ctx_plan_for,
     try_fallback_analysis, try_fallback_analysis_fe, try_fallback_analysis_incr_fe,
     try_optimistic_analysis_fe, try_optimistic_analysis_incr_fe, KaleidoscopeResult, PolicyConfig,
 };
-#[cfg(feature = "fault-injection")]
-use kaleidoscope::try_optimistic_analysis;
-use kaleidoscope_ir::{parse_module, Module};
+use kaleidoscope_ir::{claim_indexed, parse_module, Module};
 use kaleidoscope_pta::{
     steens_analysis, CtxPlan, ModuleBlocks, SolveBudget, SolveError, SolveOptions, SolvedState,
 };
@@ -129,7 +128,6 @@ pub struct Executor {
     jobs: usize,
     cache: ArtifactCache,
     budget: SolveBudget,
-    solver_threads: usize,
     state_store: Option<Arc<DiskCache>>,
     incremental_from: Option<u64>,
     /// Pre-recorded constraint blocks for the module fingerprinted by the
@@ -169,7 +167,6 @@ impl Executor {
             jobs,
             cache: ArtifactCache::new(),
             budget: SolveBudget::default(),
-            solver_threads: 0,
             state_store: None,
             incremental_from: None,
             frontend: None,
@@ -195,22 +192,6 @@ impl Executor {
     /// The per-solve budget cells run under.
     pub fn budget(&self) -> &SolveBudget {
         &self.budget
-    }
-
-    /// Run every solve under the wave-front parallel propagation schedule
-    /// with `n` threads. `0` (the default) keeps the classic sequential
-    /// schedule. Wave-schedule artifacts are cache-partitioned from classic
-    /// ones (the schedule changes lazily-created node ids), but the thread
-    /// count itself is not part of the key: wave output is byte-identical
-    /// at any count ≥ 1.
-    pub fn with_solver_threads(mut self, n: usize) -> Executor {
-        self.solver_threads = n;
-        self
-    }
-
-    /// The intra-solve thread count (`0` = classic sequential schedule).
-    pub fn solver_threads(&self) -> usize {
-        self.solver_threads
     }
 
     /// Attach a shared on-disk store for solved-state snapshots. Every
@@ -283,17 +264,7 @@ impl Executor {
     fn optimistic_opts(&self, config: PolicyConfig) -> SolveOptions {
         SolveOptions {
             budget: self.budget.clone(),
-            solver_threads: self.solver_threads,
             ..SolveOptions::optimistic(config.pa, config.pwc)
-        }
-    }
-
-    /// Baseline options carrying the executor's schedule choice, so cache
-    /// keys separate wave-schedule artifacts from classic ones.
-    fn baseline_opts(&self) -> SolveOptions {
-        SolveOptions {
-            solver_threads: self.solver_threads,
-            ..SolveOptions::baseline()
         }
     }
 
@@ -318,7 +289,7 @@ impl Executor {
                 if module.fingerprint() != prev_fp {
                     return None;
                 }
-                let blocks = ModuleBlocks::build_parallel(&module, self.solver_threads.max(1));
+                let blocks = ModuleBlocks::build(&module);
                 Some((Arc::new(module), Arc::new(blocks)))
             })
             .clone()
@@ -413,28 +384,22 @@ impl Executor {
             // Solve uncached under an exhausted budget: the faulted
             // attempt must neither publish nor consume shared artifacts.
             return Err(CellError::FallbackBudget(synthesize_budget_failure(
-                try_fallback_analysis(module, &SolveBudget::iterations(0), self.solver_threads),
+                try_fallback_analysis(module, &SolveBudget::iterations(0)),
             )));
         }
 
         let blocks = self.frontend_blocks(fp);
         let fallback = self
             .cache
-            .try_analysis(fp, &self.baseline_opts(), false, || {
+            .try_analysis(fp, &SolveOptions::baseline(), false, || {
                 if self.state_store.is_none() {
-                    return try_fallback_analysis_fe(
-                        module,
-                        &self.budget,
-                        self.solver_threads,
-                        blocks,
-                    );
+                    return try_fallback_analysis_fe(module, &self.budget, blocks);
                 }
-                let key = self.baseline_opts().cache_key();
+                let key = SolveOptions::baseline().cache_key();
                 let prev = self.prev_inputs(key, false);
                 let (analysis, state) = try_fallback_analysis_incr_fe(
                     module,
                     &self.budget,
-                    self.solver_threads,
                     prev.as_ref().map(|(m, _, s)| (&**m, s)),
                     prev.as_ref().map(|(_, b, _)| &**b),
                     blocks,
@@ -458,13 +423,7 @@ impl Executor {
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::OptimisticBudget) {
             return Err(CellError::OptimisticBudget(synthesize_budget_failure(
-                try_optimistic_analysis(
-                    module,
-                    config,
-                    &ctx_plan,
-                    &SolveBudget::iterations(0),
-                    self.solver_threads,
-                ),
+                try_optimistic_analysis(module, config, &ctx_plan, &SolveBudget::iterations(0)),
             )));
         }
 
@@ -473,13 +432,7 @@ impl Executor {
             // Ensure the artifact exists, then damage its recorded digest;
             // the verified fetch below must reject it.
             let _ = self.cache.try_analysis(fp, &opts, config.ctx, || {
-                try_optimistic_analysis(
-                    module,
-                    config,
-                    &ctx_plan,
-                    &self.budget,
-                    self.solver_threads,
-                )
+                try_optimistic_analysis(module, config, &ctx_plan, &self.budget)
             });
             self.cache.corrupt_analysis_entry(fp, &opts, config.ctx);
         }
@@ -493,7 +446,6 @@ impl Executor {
                         config,
                         &ctx_plan,
                         &self.budget,
-                        self.solver_threads,
                         blocks,
                     );
                 }
@@ -504,7 +456,6 @@ impl Executor {
                     config,
                     &ctx_plan,
                     &self.budget,
-                    self.solver_threads,
                     prev.as_ref().map(|(m, _, s)| (&**m, s)),
                     prev.as_ref().map(|(_, b, _)| &**b),
                     blocks,
@@ -537,11 +488,11 @@ impl Executor {
         // against its own faults so a failure here falls through.
         if !matches!(err, CellError::FallbackBudget(_)) {
             let rung1 = catch_unwind(AssertUnwindSafe(|| {
-                let fallback = self
-                    .cache
-                    .try_analysis(fp, &self.baseline_opts(), false, || {
-                        try_fallback_analysis(module, &self.budget, self.solver_threads)
-                    })?;
+                let fallback =
+                    self.cache
+                        .try_analysis(fp, &SolveOptions::baseline(), false, || {
+                            try_fallback_analysis(module, &self.budget)
+                        })?;
                 let ctx_plan = if config.ctx {
                     self.cache.ctx_plan(fp, || ctx_plan_for(module, config))
                 } else {
@@ -591,86 +542,49 @@ impl Executor {
         T: Send,
         F: Fn(usize, usize, &KaleidoscopeResult) -> T + Sync,
     {
-        let n_cells = modules.len() * configs.len();
-        if n_cells == 0 {
-            return modules.iter().map(|_| Vec::new()).collect();
-        }
-
         let legacy = self.jobs <= 1
             && self.budget == SolveBudget::default()
             && !self.has_faults()
-            && self.solver_threads == 0
             && self.state_store.is_none()
             && self.frontend.is_none();
-        let results: Vec<T> = if legacy {
+        if legacy {
             // Legacy serial path: the original per-cell pipeline, no pool,
             // no cache — the A/B reference for byte-identical output.
             // Only equivalent to the isolated path under the default
             // budget with no faults, so it is only taken there.
-            let mut out = Vec::with_capacity(n_cells);
-            for (mi, module) in modules.iter().enumerate() {
-                for (ci, config) in configs.iter().enumerate() {
-                    out.push(f(mi, ci, &analyze(module, *config)));
-                }
-            }
-            out
-        } else if self.jobs <= 1 {
-            // Serial but isolated: budgets, faults, and degradation apply
-            // exactly as on the pooled path.
-            let mut out = Vec::with_capacity(n_cells);
-            for (mi, module) in modules.iter().enumerate() {
-                for (ci, config) in configs.iter().enumerate() {
-                    out.push(f(mi, ci, &self.run_cell(module, *config, Some((mi, ci)))));
-                }
-            }
-            out
-        } else {
-            // Cells are claimed config-major (all modules under config 0
-            // first), so early on the workers solve *different* modules'
-            // baselines in parallel instead of blocking on one module's
-            // shared artifacts.
-            let cells: Vec<(usize, usize)> = (0..configs.len())
-                .flat_map(|ci| (0..modules.len()).map(move |mi| (mi, ci)))
-                .collect();
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<T>>> = (0..n_cells).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..self.jobs.min(n_cells) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(mi, ci)) = cells.get(i) else { break };
-                        let result = self.run_cell(modules[mi], configs[ci], Some((mi, ci)));
-                        let t = f(mi, ci, &result);
-                        // A panicking reducer on another worker may poison
-                        // a slot lock; recover the data — a slot is only
-                        // ever written whole.
-                        *slots[mi * configs.len() + ci]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner()) = Some(t);
-                    });
-                }
-            });
-            slots
-                .into_iter()
+            return modules
+                .iter()
                 .enumerate()
-                .map(|(i, s)| {
-                    s.into_inner()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .unwrap_or_else(|| {
-                            // Unreachable while cells degrade instead of
-                            // failing; kept as a typed diagnostic rather
-                            // than an unwrap on principle.
-                            panic!("matrix cell {i} missing: worker died outside cell isolation")
-                        })
+                .map(|(mi, module)| {
+                    configs
+                        .iter()
+                        .enumerate()
+                        .map(|(ci, config)| f(mi, ci, &analyze(module, *config)))
+                        .collect()
                 })
-                .collect()
-        };
+                .collect();
+        }
 
-        // Reassemble the flat, cell-indexed vector into matrix shape.
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(modules.len());
-        let mut it = results.into_iter();
-        for _ in 0..modules.len() {
-            out.push(it.by_ref().take(configs.len()).collect());
+        // Isolated path (serial at `jobs <= 1`, pooled otherwise): budgets,
+        // faults and degradation apply to every cell. Cells are claimed
+        // config-major (all modules under config 0 first), so early on the
+        // workers solve *different* modules' baselines in parallel instead
+        // of blocking on one module's shared artifacts.
+        let n_modules = modules.len();
+        let results = claim_indexed(n_modules * configs.len(), self.jobs, |i| {
+            let (mi, ci) = (i % n_modules, i / n_modules);
+            f(
+                mi,
+                ci,
+                &self.run_cell(modules[mi], configs[ci], Some((mi, ci))),
+            )
+        });
+        let mut out: Vec<Vec<T>> = modules
+            .iter()
+            .map(|_| Vec::with_capacity(configs.len()))
+            .collect();
+        for (i, t) in results.into_iter().enumerate() {
+            out[i % n_modules].push(t);
         }
         out
     }

@@ -92,17 +92,13 @@ pub fn render_analyze(
                 let _ = writeln!(
                     out,
                     "    solver[{tag}]: pops={} scc-passes={} union-words={} \
-                     peak-pts-bytes={} copy-edges={} collapsed-objects={} \
-                     strata={} max-wave-width={} barrier-stalls={}",
+                     peak-pts-bytes={} copy-edges={} collapsed-objects={}",
                     s.iterations,
                     s.scc_passes,
                     s.union_words,
                     s.peak_pts_bytes,
                     s.copy_edges,
-                    s.collapsed_objects,
-                    s.strata,
-                    s.max_wave_width,
-                    s.barrier_stalls
+                    s.collapsed_objects
                 );
                 if s.incr_reused > 0 || s.incr_fallback_full > 0 {
                     let _ = writeln!(

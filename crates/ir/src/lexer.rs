@@ -184,7 +184,12 @@ pub fn line_col(src: &str, offset: usize) -> (usize, usize) {
     let offset = offset.min(src.len());
     let before = &src.as_bytes()[..offset];
     let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
-    let col = offset - before.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1) + 1;
+    let col = offset
+        - before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |p| p + 1)
+        + 1;
     (line, col)
 }
 
@@ -242,8 +247,7 @@ pub fn lex_with(src: &str, pre: &PreScan) -> Result<TokenStream, ParseError> {
     let mut strs: Vec<String> = Vec::new();
     // Distinct names are a small fraction of tokens; items each introduce
     // one name and bodies mostly repeat keywords and a few locals.
-    let mut interner =
-        Interner::with_capacity(64 + pre.funcs * 4 + pre.structs + pre.globals);
+    let mut interner = Interner::with_capacity(64 + pre.funcs * 4 + pre.structs + pre.globals);
     let mut i = 0usize;
     while i < bytes.len() {
         let b = bytes[i];
@@ -406,11 +410,7 @@ pub fn lex_with(src: &str, pre: &PreScan) -> Result<TokenStream, ParseError> {
                                 });
                                 continue;
                             }
-                            return Err(lex_err(
-                                src,
-                                start,
-                                format!("unexpected character `{c}`"),
-                            ));
+                            return Err(lex_err(src, start, format!("unexpected character `{c}`")));
                         }
                         return Err(lex_err(
                             src,

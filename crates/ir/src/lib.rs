@@ -43,6 +43,7 @@ pub mod layout;
 pub mod lexer;
 pub mod loc;
 pub mod module;
+pub mod par;
 pub mod parser;
 pub mod printer;
 pub mod transform;
@@ -58,6 +59,7 @@ pub use module::{
     BinOpKind, Block, BlockId, FuncId, Function, GlobalDecl, GlobalId, Inst, LocalDecl, LocalId,
     Module, Operand, Terminator,
 };
+pub use par::claim_indexed;
 pub use parser::{parse_header, parse_module, parse_module_parallel, ModuleShell, ParseError};
 pub use transform::{mem2reg, Mem2RegStats};
 pub use types::{FuncSig, StructDef, StructId, Type, TypeRegistry};

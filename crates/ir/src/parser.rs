@@ -21,8 +21,6 @@
 //! only on the header, never on sibling bodies.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::intern::{Interner, Symbol};
 use crate::lexer::{describe_kind, lex_with, line_col, prescan, TokKind, Token, TokenStream};
@@ -30,6 +28,7 @@ use crate::module::{
     BinOpKind, Block, BlockId, FuncId, Function, GlobalId, Inst, LocalDecl, LocalId, Module,
     Operand, Terminator,
 };
+use crate::par::claim_indexed;
 use crate::types::{FuncSig, StructId, Type};
 
 /// Error produced when parsing fails.
@@ -405,9 +404,10 @@ impl<'a> Parser<'a> {
                     let ret = self.parse_type(names)?;
                     Type::Func(FuncSig::new(params, ret))
                 } else {
-                    let id = names.structs.get(&s).copied().ok_or_else(|| {
-                        self.err(format!("unknown struct `{}`", self.text(s)))
-                    })?;
+                    let id =
+                        names.structs.get(&s).copied().ok_or_else(|| {
+                            self.err(format!("unknown struct `{}`", self.text(s)))
+                        })?;
                     Type::Struct(id)
                 }
             }
@@ -682,39 +682,8 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
 /// same one the sequential parse would report first.
 pub fn parse_module_parallel(src: &str, threads: usize) -> Result<Module, ParseError> {
     let shell = parse_header(src)?;
-    let n = shell.func_count();
-    let workers = threads.min(n);
-    if workers <= 1 {
-        let mut bodies = Vec::with_capacity(n);
-        for i in 0..n {
-            bodies.push(shell.parse_body(i)?);
-        }
-        return Ok(shell.finish(bodies));
-    }
-    let slots: Vec<Mutex<Option<Result<Function, ParseError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = shell.parse_body(i);
-                *slots[i].lock().expect("body slot") = Some(r);
-            });
-        }
-    });
-    let mut bodies = Vec::with_capacity(n);
-    for slot in slots {
-        bodies.push(
-            slot.into_inner()
-                .expect("body slot")
-                .expect("every body claimed")?,
-        );
-    }
-    Ok(shell.finish(bodies))
+    let bodies = claim_indexed(shell.func_count(), threads, |i| shell.parse_body(i));
+    Ok(shell.finish(bodies.into_iter().collect::<Result<_, _>>()?))
 }
 
 fn parse_body(
@@ -795,10 +764,7 @@ fn parse_body(
     })
 }
 
-fn parse_block(
-    p: &mut Parser<'_>,
-    names: &Names,
-) -> Result<(Vec<Inst>, Terminator), ParseError> {
+fn parse_block(p: &mut Parser<'_>, names: &Names) -> Result<(Vec<Inst>, Terminator), ParseError> {
     let kw = &names.kw;
     let mut insts = Vec::new();
     loop {

@@ -25,8 +25,8 @@ use std::collections::HashSet;
 
 use kaleidoscope_ir::codec::{decode_type, encode_type};
 use kaleidoscope_ir::{
-    BlockId, ByteReader, ByteWriter, CodecError, FuncId, GlobalId, Inst, InstLoc, LocalId, Module,
-    Operand, Terminator, Type,
+    claim_indexed, BlockId, ByteReader, ByteWriter, CodecError, FuncId, GlobalId, Inst, InstLoc,
+    LocalId, Module, Operand, Terminator, Type,
 };
 
 use crate::ctxplan::CtxPlan;
@@ -242,34 +242,11 @@ impl ModuleBlocks {
     }
 
     /// Record blocks for every function using up to `threads` worker
-    /// threads (work-claiming over the function list; deterministic because
-    /// results land at their function index).
+    /// threads (deterministic: results land at their function index).
     pub fn build_parallel(module: &Module, threads: usize) -> ModuleBlocks {
         let n = module.iter_funcs().count();
-        let workers = threads.max(1).min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return ModuleBlocks::build(module);
-        }
-        let slots: Vec<std::sync::Mutex<Option<FuncBlock>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let block = build_func_block(module, FuncId(i as u32));
-                    *slots[i].lock().unwrap() = Some(block);
-                });
-            }
-        });
         ModuleBlocks {
-            funcs: slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
-                .collect(),
+            funcs: claim_indexed(n, threads, |i| build_func_block(module, FuncId(i as u32))),
         }
     }
 }
@@ -350,7 +327,10 @@ pub fn build_func_block(module: &Module, fid: FuncId) -> FuncBlock {
 /// Record one instruction, touching references in exactly the order live
 /// generation resolves them.
 fn rec_inst(module: &Module, ops: &mut Vec<BlockOp>, loc: SelfLoc, inst: &Inst) {
-    let simple = |ops: &mut Vec<BlockOp>, src: Option<SymRef>, dst: LocalId, mk: &dyn Fn(SymRef, SymRef) -> SymConstraintKind| {
+    let simple = |ops: &mut Vec<BlockOp>,
+                  src: Option<SymRef>,
+                  dst: LocalId,
+                  mk: &dyn Fn(SymRef, SymRef) -> SymConstraintKind| {
         if let Some(src) = src {
             let d = SymRef::SelfLocal(dst);
             ops.push(BlockOp::Touch(src));

@@ -353,11 +353,13 @@ impl<'m> Gen<'m> {
                             base: self.resolve_ref(fid, *base),
                             idx: *idx,
                         },
-                        SymConstraintKind::PtrArith { dst, base, loc } => ConstraintKind::PtrArith {
-                            dst: self.resolve_ref(fid, *dst),
-                            base: self.resolve_ref(fid, *base),
-                            loc: loc.rebase(fid),
-                        },
+                        SymConstraintKind::PtrArith { dst, base, loc } => {
+                            ConstraintKind::PtrArith {
+                                dst: self.resolve_ref(fid, *dst),
+                                base: self.resolve_ref(fid, *base),
+                                loc: loc.rebase(fid),
+                            }
+                        }
                         SymConstraintKind::Elem { dst, base } => ConstraintKind::Elem {
                             dst: self.resolve_ref(fid, *dst),
                             base: self.resolve_ref(fid, *base),
@@ -816,7 +818,9 @@ mod tests {
 
     fn exercise_module() -> Module {
         let mut m = Module::new("splice");
-        let s = m.types.declare("pair", vec![Type::ptr(Type::Int), Type::Int]);
+        let s = m
+            .types
+            .declare("pair", vec![Type::ptr(Type::Int), Type::Int]);
         let s = s.unwrap();
         m.add_global("g", Type::ptr(Type::Int)).unwrap();
         let callee = {
@@ -845,7 +849,12 @@ mod tests {
         let _ = (pa, el);
         b.call("r", callee, vec![l.into()]);
         let fp = b.copy("fp", Operand::Func(callee));
-        b.call_ind("ri", fp, vec![x.into(), Operand::ConstInt(3).into()], Type::ptr(Type::Int));
+        b.call_ind(
+            "ri",
+            fp,
+            vec![x.into(), Operand::ConstInt(3)],
+            Type::ptr(Type::Int),
+        );
         let gv = b.load("gv", m_op(&b));
         let _ = gv;
         b.ret(None);

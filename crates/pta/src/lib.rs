@@ -62,7 +62,8 @@ pub mod steens;
 /// reused across representations.
 ///
 /// v3: adaptive demotion of shrunken bitmap sets back to the inline
-/// representation, plus the wave-front parallel propagation schedule.
+/// representation, plus a wave-front parallel propagation schedule (since
+/// removed; it never set a bit in a classic-schedule cache key).
 ///
 /// v4: deterministic PWC invariant ordering in reports (sorted by field
 /// locations) and the incremental re-solve counters in [`SolveStats`].

@@ -170,12 +170,12 @@ fn steens_core(module: &Module) -> (SteensResult, Vec<IndirectCall>, usize) {
                     s.join_pointees(a.0, p.0, &mut fresh);
                 }
             }
-            if let Some(dst) = ic.dst {
+            // The call's result aliases the callee's return value. A
+            // callee without a return node never returns a pointer-relevant
+            // value, so there is nothing to unify.
+            if let (Some(dst), Some(ret)) = (ic.dst, nodes.ret_node_opt(fid)) {
                 if f.ret_ty != Type::Void {
-                    // Best effort: unify dst with every address-taken return.
-                    // Return nodes may not exist if the function never
-                    // returns a pointer-relevant value.
-                    let _ = dst;
+                    s.join_pointees(dst.0, ret.0, &mut fresh);
                 }
             }
         }
@@ -414,6 +414,34 @@ mod tests {
             raw.pts_of_local(&m, main, LocalId(1)).len()
         );
         assert!(a.result.stats.node_count > 0);
+    }
+
+    /// An indirect call's result must hold what its callees return: the
+    /// fallback sees the heap object through the call, so Steensgaard must
+    /// too, or it stops being an upper bound.
+    #[test]
+    fn indirect_call_result_holds_callee_returns() {
+        let mut m = Module::new("icall-ret");
+        let int_ptr = Type::ptr(Type::Int);
+        let mk = {
+            let mut b = FunctionBuilder::new(&mut m, "mk", vec![], int_ptr.clone());
+            let h = b.heap_alloc("h", Type::Int);
+            b.ret(Some(h.into()));
+            b.finish()
+        };
+        let mut b = FunctionBuilder::new(&mut m, "main", vec![], Type::Void);
+        let fp = b.copy("fp", Operand::Func(mk));
+        let r = b
+            .call_ind("r", fp, vec![], int_ptr)
+            .expect("non-void call has a result");
+        b.ret(None);
+        let main = b.finish();
+
+        let fallback = Analysis::run(&m, &SolveOptions::baseline());
+        let steens = steens_analysis(&m);
+        let want = fallback.sites_of(&fallback.pts_of_local(main, r));
+        assert_eq!(want.len(), 1, "the fallback resolves the heap object");
+        assert_eq!(steens.sites_of(&steens.pts_of_local(main, r)), want);
     }
 
     #[test]

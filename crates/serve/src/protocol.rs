@@ -47,9 +47,6 @@ pub struct Request {
     /// Per-request solve budget (worklist iterations), capped by the
     /// tenant quota.
     pub budget: Option<usize>,
-    /// Intra-solve thread count for the wave-front solver schedule
-    /// (`0` = classic sequential); absent = the worker's default.
-    pub solver_threads: Option<usize>,
     /// Fault directive for tests (`"kill"`); honored only by workers
     /// started with `--unsafe-faults`.
     pub fault: Option<String>,
@@ -68,7 +65,6 @@ impl Request {
             config: None,
             stats: false,
             budget: None,
-            solver_threads: None,
             fault: None,
         }
     }
@@ -85,7 +81,6 @@ impl Request {
             config: None,
             stats: false,
             budget: None,
-            solver_threads: None,
             fault: None,
         }
     }
@@ -264,9 +259,6 @@ pub fn encode_request(r: &Request) -> String {
     }
     if let Some(b) = r.budget {
         let _ = write!(out, ",\"budget\":{b}");
-    }
-    if let Some(n) = r.solver_threads {
-        let _ = write!(out, ",\"solver_threads\":{n}");
     }
     if let Some(f) = &r.fault {
         out.push_str(",\"fault\":");
@@ -542,7 +534,6 @@ pub fn decode_request(line: &str) -> Result<Request, ParseError> {
     let config = take_str(&mut fields, "config")?;
     let stats = take_bool(&mut fields, "stats")?;
     let budget = take_uint(&mut fields, "budget")?.map(|n| n as usize);
-    let solver_threads = take_uint(&mut fields, "solver_threads")?.map(|n| n as usize);
     let fault = take_str(&mut fields, "fault")?;
     if let Some(unknown) = fields.keys().next() {
         return Err(bad(format!("unknown field `{unknown}`")));
@@ -571,7 +562,6 @@ pub fn decode_request(line: &str) -> Result<Request, ParseError> {
         config,
         stats,
         budget,
-        solver_threads,
         fault,
     })
 }
@@ -634,7 +624,6 @@ mod tests {
         r.config = Some("kd-ctx-pa".into());
         r.stats = true;
         r.budget = Some(500);
-        r.solver_threads = Some(4);
         let line = encode_request(&r);
         assert!(!line.contains('\n'), "framing: one message per line");
         assert_eq!(decode_request(&line).unwrap(), r);
@@ -652,7 +641,6 @@ mod tests {
             config: None,
             stats: false,
             budget: None,
-            solver_threads: None,
             fault: None,
         };
         assert_eq!(decode_request(&encode_request(&r)).unwrap(), r);
@@ -714,20 +702,6 @@ mod tests {
         let line = encode_response(&health);
         assert!(!line.contains('\n'));
         assert_eq!(decode_response(&line).unwrap(), health);
-    }
-
-    #[test]
-    fn solver_threads_zero_round_trips_distinct_from_absent() {
-        // `0` explicitly requests the classic schedule; absent defers to
-        // the worker's default. The wire must keep those apart.
-        let mut r = Request::inline("st", "module \"m\" {\n}\n");
-        r.solver_threads = Some(0);
-        let decoded = decode_request(&encode_request(&r)).unwrap();
-        assert_eq!(decoded.solver_threads, Some(0));
-        r.solver_threads = None;
-        let decoded = decode_request(&encode_request(&r)).unwrap();
-        assert_eq!(decoded.solver_threads, None);
-        assert!(decode_request("{\"id\":\"x\",\"module\":\"m\",\"solver_threads\":-1}").is_err());
     }
 
     #[test]

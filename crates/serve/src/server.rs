@@ -365,7 +365,7 @@ impl Router {
     /// untouched either way.
     fn shed_response(&self, req: &Request, tier_override: Option<&str>) -> Response {
         let cache = self.cache.as_deref();
-        let resolved = match resolve_module(req, cache, req.solver_threads.unwrap_or(0)) {
+        let resolved = match resolve_module(req, cache, 0) {
             Ok(m) => m,
             Err(e) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
@@ -397,10 +397,7 @@ impl Router {
                 None
             },
             stats: req.stats,
-            // The shed path only knows the request's own schedule choice;
-            // a wave-scoped artifact published by a wave-default worker is
-            // simply a miss here, never a wrong answer.
-            wave: req.solver_threads.is_some_and(|n| n > 0),
+            wave: false,
         };
         if let Some(text) = cache.and_then(|c| c.get_report(fp, scope)) {
             return Response::Ok {

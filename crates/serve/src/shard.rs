@@ -55,8 +55,8 @@ pub enum ShardMode {
         unsafe_faults: bool,
         /// Worker `--jobs` (executor threads per solve).
         jobs: usize,
-        /// Worker `--solver-threads` default (wave-front schedule; `0` =
-        /// classic sequential).
+        /// Worker `--solver-threads` (frontend body-pass threads; `0` =
+        /// inline).
         solver_threads: usize,
     },
     /// Serve requests on the calling thread (tests, bench).

@@ -23,7 +23,9 @@ use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
 use kaleidoscope::{DegradedTier, PolicyConfig};
-use kaleidoscope_exec::{load_frontend, render_analyze, DiskCache, Executor, FrontendStats, ReportScope};
+use kaleidoscope_exec::{
+    load_frontend, render_analyze, DiskCache, Executor, FrontendStats, ReportScope,
+};
 use kaleidoscope_ir::{verify_module, Module};
 use kaleidoscope_pta::SolveBudget;
 
@@ -35,9 +37,8 @@ use crate::protocol::{decode_request, encode_response, CacheDisposition, Request
 pub struct WorkerOptions {
     /// Executor worker threads per solve (`0` = available parallelism).
     pub jobs: usize,
-    /// Default intra-solve thread count for the wave-front solver
-    /// schedule (`0` = classic sequential). A request's own
-    /// `solver_threads` field overrides this.
+    /// Threads for the frontend body pass (parse and constraint
+    /// recording of each function; `0` or `1` = inline).
     pub solver_threads: usize,
     /// The shared on-disk artifact store, if configured.
     pub cache: Option<Arc<DiskCache>>,
@@ -153,8 +154,7 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
         }
     }
     let cache = opts.cache.as_deref();
-    let solver_threads = req.solver_threads.unwrap_or(opts.solver_threads);
-    let resolved = match resolve_module(req, cache, solver_threads) {
+    let resolved = match resolve_module(req, cache, opts.solver_threads) {
         Ok(m) => m,
         Err(e) => return error(&req.id, e),
     };
@@ -174,7 +174,7 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
             None
         },
         stats: req.stats,
-        wave: solver_threads > 0,
+        wave: false,
     };
     if let Some(text) = cache.and_then(|c| c.get_report(fp, scope)) {
         if let Some(c) = cache {
@@ -192,9 +192,7 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
             fe_cache_hits: Some(fe.fe_cache_hits as u64),
         };
     }
-    let mut ex = Executor::with_jobs(opts.jobs)
-        .with_solver_threads(solver_threads)
-        .with_frontend(fp, resolved.blocks);
+    let mut ex = Executor::with_jobs(opts.jobs).with_frontend(fp, resolved.blocks);
     if let Some(n) = req.budget {
         ex = ex.with_budget(SolveBudget::iterations(n));
     }
@@ -314,7 +312,6 @@ mod tests {
             config: None,
             stats: false,
             budget: None,
-            solver_threads: None,
             fault: None,
         };
         let second = handle_request(&again, &opts);
@@ -363,7 +360,6 @@ mod tests {
             config: None,
             stats: false,
             budget: None,
-            solver_threads: None,
             fault: None,
         };
         let resp = handle_request(&req, &opts);
@@ -396,30 +392,6 @@ mod tests {
         ));
         let ok = crate::protocol::decode_response(lines[1]).unwrap();
         assert_eq!(ok.id(), "ok-1");
-    }
-
-    #[test]
-    fn wave_request_is_served_and_cached_apart_from_classic() {
-        let opts = opts_with_cache("wave");
-        let classic = handle_request(&Request::inline("c", &tiny_module()), &opts);
-        let Response::Ok { cache: c1, .. } = &classic else {
-            panic!("expected ok, got {classic:?}");
-        };
-        assert_eq!(*c1, CacheDisposition::Stored);
-        // Same module under the wave schedule: a fresh solve (no alias
-        // with the classic artifact), then a hit on repeat.
-        let mut wreq = Request::inline("w", &tiny_module());
-        wreq.solver_threads = Some(2);
-        let first = handle_request(&wreq, &opts);
-        let Response::Ok { cache: c2, .. } = &first else {
-            panic!("expected ok, got {first:?}");
-        };
-        assert_eq!(*c2, CacheDisposition::Stored, "wave scope is distinct");
-        let second = handle_request(&wreq, &opts);
-        let Response::Ok { cache: c3, .. } = &second else {
-            panic!("expected ok, got {second:?}");
-        };
-        assert_eq!(*c3, CacheDisposition::Hit);
     }
 
     #[test]

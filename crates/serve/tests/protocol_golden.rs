@@ -30,13 +30,25 @@ fn golden_full_request() {
         config: Some("kd-ctx-pa".into()),
         stats: true,
         budget: Some(1000),
-        solver_threads: Some(4),
         fault: Some("kill".into()),
     };
     assert_eq!(
         encode_request(&req),
-        r#"{"id":"req-42","tenant":"acme","fingerprint":"00abcdef01234567","prev_fingerprint":"00abcdef01230000","config":"kd-ctx-pa","stats":true,"budget":1000,"solver_threads":4,"fault":"kill"}"#
+        r#"{"id":"req-42","tenant":"acme","fingerprint":"00abcdef01234567","prev_fingerprint":"00abcdef01230000","config":"kd-ctx-pa","stats":true,"budget":1000,"fault":"kill"}"#
     );
+}
+
+#[test]
+fn retired_solver_threads_field_is_rejected() {
+    // The field selected a since-removed solver schedule. A client still
+    // sending it must hear so, never have it silently dropped.
+    for line in [
+        r#"{"id":"x","module":"m","solver_threads":4}"#,
+        r#"{"id":"x","module":"m","solver_threads":0}"#,
+    ] {
+        let e = decode_request(line).expect_err(line);
+        assert!(e.0.contains("unknown field `solver_threads`"), "{}", e.0);
+    }
 }
 
 #[test]

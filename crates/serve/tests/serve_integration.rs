@@ -122,7 +122,6 @@ fn warm_repeat_is_a_cache_hit_with_identical_bytes() {
         config: None,
         stats: false,
         budget: None,
-        solver_threads: None,
         fault: None,
     };
     let warm = request_over_tcp(&addr, &warm_req).expect("warm");

@@ -2,6 +2,8 @@
 //!
 //! * the optimistic view's points-to sets are subsets of the fallback's
 //!   (site-wise), for every configuration;
+//! * the fallback's points-to sets are subsets of the Steensgaard tier's
+//!   (site-wise), the order the degradation ladder relies on;
 //! * the optimistic CFI target sets refine the fallback sets;
 //! * indirect-call targets *observed at runtime* are contained in the
 //!   optimistic callgraph as long as no invariant is violated — the
@@ -10,7 +12,8 @@
 
 use kaleidoscope_suite::apps;
 use kaleidoscope_suite::cfi::harden;
-use kaleidoscope_suite::kaleidoscope::{analyze, PolicyConfig};
+use kaleidoscope_suite::kaleidoscope::{analyze, fallback_analysis, PolicyConfig};
+use kaleidoscope_suite::pta::steens_analysis;
 use kaleidoscope_suite::runtime::ViewKind;
 
 fn subset_sitewise(
@@ -48,6 +51,34 @@ fn optimistic_subset_of_fallback_for_all_apps_and_configs() {
             subset_sitewise(&r.optimistic, &r.fallback, &model.module);
         }
     }
+}
+
+#[test]
+fn fallback_subset_of_steensgaard_for_all_apps() {
+    // Collected rather than asserted one by one, so a failure names every
+    // escaping pointer at once.
+    let mut escapes = Vec::new();
+    for model in apps::all_models() {
+        let m = &model.module;
+        let fallback = fallback_analysis(m);
+        let steens = steens_analysis(m);
+        for (fid, f) in m.iter_funcs() {
+            for l in 0..f.locals.len() as u32 {
+                let lid = kaleidoscope_suite::ir::LocalId(l);
+                let fs = fallback.sites_of(&fallback.pts_of_local(fid, lid));
+                let ss = steens.sites_of(&steens.pts_of_local(fid, lid));
+                if fs.iter().any(|s| !ss.contains(s)) {
+                    let local = &f.locals[l as usize].name;
+                    escapes.push(format!("{} {}::{local}", model.name, f.name));
+                }
+            }
+        }
+    }
+    assert!(
+        escapes.is_empty(),
+        "{} pointers escape the Steensgaard tier: {escapes:?}",
+        escapes.len()
+    );
 }
 
 #[test]
