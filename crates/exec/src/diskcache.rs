@@ -112,7 +112,9 @@ pub struct ReportScope {
 /// tag. Bump it whenever the row's counters change, so a report cached
 /// under the old layout is a miss rather than served with a stale row.
 /// v2: the three wave-schedule counters left the row.
-const STATS_ROW_VERSION: u32 = 2;
+/// v3: word-level delta propagation changed the values of `union-words`
+/// (now bitmap words actually touched) and `peak-pts-bytes`.
+const STATS_ROW_VERSION: u32 = 3;
 
 impl ReportScope {
     /// The filename fragment for this scope.
@@ -706,6 +708,45 @@ mod tests {
             ..stats
         };
         assert_eq!(cache.get_report(9, wave).as_deref(), Some("fresh\n"));
+    }
+
+    #[test]
+    fn stats_reports_cached_under_the_v2_row_are_misses() {
+        let dir = tmpdir("statsrow3");
+        let cache = DiskCache::open(&dir).unwrap();
+        let all = ReportScope {
+            config: None,
+            stats: true,
+            wave: false,
+        };
+        let one = ReportScope {
+            config: Some(PolicyConfig {
+                ctx: true,
+                pa: false,
+                pwc: true,
+            }),
+            ..all
+        };
+        // Verified reports under the v2 stats tags (`…-alls2-…`,
+        // `…-c<k>s2-…`), whose rows carry element-wise `union-words` and
+        // `peak-pts-bytes` values.
+        let text = "solver[fallback]: pops=1 union-words=9 peak-pts-bytes=9\n";
+        for scope in [all, one] {
+            let tag = cache.report_path(9, scope);
+            let name = tag.file_name().unwrap().to_str().unwrap();
+            assert!(name.contains("s3-v"), "{name}");
+            let old = tag.with_file_name(name.replace("s3-v", "s2-v"));
+            fs::write(&old, text).unwrap();
+            let sum = format!("{:016x} {}", fnv64(text.as_bytes()), text.len());
+            fs::write(old.with_extension("sum"), sum).unwrap();
+            assert_eq!(
+                cache.get_report(9, scope),
+                None,
+                "stale v2 stats row served"
+            );
+            cache.put_report(9, scope, "fresh\n").unwrap();
+            assert_eq!(cache.get_report(9, scope).as_deref(), Some("fresh\n"));
+        }
     }
 
     #[test]

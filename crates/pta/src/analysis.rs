@@ -208,7 +208,7 @@ impl Analysis {
                 }
                 let lid = LocalId(i as u32);
                 if let Some(n) = self.result.nodes.local_node_opt(fid, lid) {
-                    let size = self.result.pts_of(n).len();
+                    let size = self.result.pts_len(n);
                     if size > 0 {
                         out.push((fid, lid, size));
                     }

@@ -18,8 +18,9 @@
 pub struct BitBlocks {
     /// Word indices (`id / 64`), strictly ascending.
     idx: Vec<u32>,
-    /// Bit payloads, parallel to `idx`; never zero after an operation
-    /// completes (empty words are pruned lazily by `compact`).
+    /// Bit payloads, parallel to `idx`. `remove` and `retain` may leave
+    /// zero words behind; every operation tolerates them, and the bulk
+    /// operations never create new ones.
     bits: Vec<u64>,
     /// Cached population count.
     count: u32,
@@ -54,6 +55,20 @@ fn push_bits(base: u32, mut word: u64, out: &mut Vec<u32>) {
     }
 }
 
+/// First position `p >= from` with `idx[p] >= w`, given that every index
+/// before `from` is below `w`. Gallops, so a sparse probe into a long
+/// skeleton costs O(log gap) rather than a linear walk.
+#[inline]
+fn seek(idx: &[u32], mut from: usize, w: u32) -> usize {
+    let mut step = 1usize;
+    while from + step < idx.len() && idx[from + step] < w {
+        from += step;
+        step *= 2;
+    }
+    let end = (from + step).min(idx.len());
+    from + idx[from..end].partition_point(|&x| x < w)
+}
+
 impl BitBlocks {
     /// Word-level FNV-1a over the raw `(idx, bits)` representation: a cheap
     /// identity hash for interning bit-identical sets without iterating
@@ -78,10 +93,16 @@ impl BitBlocks {
         Self::default()
     }
 
-    /// Build from a strictly ascending slice of ids.
+    /// Build from a strictly ascending slice of ids, allocating exactly the
+    /// words needed (a promoted set then grows from its true size).
     pub fn from_sorted_slice(items: &[u32]) -> Self {
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
-        let mut s = BitBlocks::new();
+        let words = items.chunk_by(|a, b| a >> 6 == b >> 6).count();
+        let mut s = BitBlocks {
+            idx: Vec::with_capacity(words),
+            bits: Vec::with_capacity(words),
+            count: 0,
+        };
         for &v in items {
             let w = v >> 6;
             let bit = 1u64 << (v & 63);
@@ -177,88 +198,179 @@ impl BitBlocks {
     /// Union `other` into `self`, appending the newly added ids (ascending)
     /// to `added`. Returns the number of words touched.
     pub fn union_from(&mut self, other: &BitBlocks, added: &mut Vec<u32>) -> u64 {
-        // Probe: does `other`'s word skeleton fit inside ours? If so the
-        // union is a pure in-place OR loop with no structural change (the
-        // common case once a set has warmed up).
-        let mut i = 0usize;
-        let mut fits = true;
-        for &w in &other.idx {
-            while i < self.idx.len() && self.idx[i] < w {
-                i += 1;
-            }
-            if i >= self.idx.len() || self.idx[i] != w {
-                fits = false;
-                break;
-            }
-        }
-        let words = (self.idx.len() + other.idx.len()) as u64;
-        if fits {
-            let mut i = 0usize;
-            for (o, &w) in other.idx.iter().enumerate() {
-                while self.idx[i] < w {
-                    i += 1;
+        self.or_words(&other.idx, &other.bits, added)
+    }
+
+    /// Union a strictly ascending slice of ids into `self`, appending the
+    /// newly added ids (ascending) to `added`. The ids are packed into
+    /// words first, so this is the same word-level merge as
+    /// [`BitBlocks::union_from`]. Returns the number of words touched.
+    pub fn union_sorted(&mut self, items: &[u32], added: &mut Vec<u32>) -> u64 {
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
+        const CHUNK: usize = 64;
+        let mut words = 0;
+        for chunk in items.chunks(CHUNK) {
+            let mut idx = [0u32; CHUNK];
+            let mut bits = [0u64; CHUNK];
+            let mut k = 0usize;
+            for &v in chunk {
+                let w = v >> 6;
+                if k == 0 || idx[k - 1] != w {
+                    idx[k] = w;
+                    k += 1;
                 }
-                let new = other.bits[o] & !self.bits[i];
-                if new != 0 {
-                    push_bits(w << 6, new, added);
-                    self.bits[i] |= new;
-                    self.count += new.count_ones();
-                }
+                bits[k - 1] |= 1u64 << (v & 63);
             }
-            return words;
+            words += self.or_words(&idx[..k], &bits[..k], added);
         }
-        // Structural merge: rebuild the skeleton (amortized — only happens
-        // while the word skeleton is still growing).
-        let mut idx = Vec::with_capacity(self.idx.len() + other.idx.len());
-        let mut bits = Vec::with_capacity(idx.capacity());
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < self.idx.len() || b < other.idx.len() {
-            let take_a = b >= other.idx.len() || (a < self.idx.len() && self.idx[a] < other.idx[b]);
-            let take_b = a >= self.idx.len() || (b < other.idx.len() && other.idx[b] < self.idx[a]);
-            if take_a {
-                idx.push(self.idx[a]);
-                bits.push(self.bits[a]);
-                a += 1;
-            } else if take_b {
-                let w = other.idx[b];
-                push_bits(w << 6, other.bits[b], added);
-                self.count += other.bits[b].count_ones();
-                idx.push(w);
-                bits.push(other.bits[b]);
-                b += 1;
-            } else {
-                let w = self.idx[a];
-                let new = other.bits[b] & !self.bits[a];
-                if new != 0 {
-                    push_bits(w << 6, new, added);
-                    self.count += new.count_ones();
-                }
-                idx.push(w);
-                bits.push(self.bits[a] | other.bits[b]);
-                a += 1;
-                b += 1;
-            }
-        }
-        self.idx = idx;
-        self.bits = bits;
         words
     }
 
-    /// Append `self \ other` (ascending) to `out`. Returns words touched.
-    pub fn diff_into(&self, other: &BitBlocks, out: &mut Vec<u32>) -> u64 {
-        let mut b = 0usize;
-        for (a, &w) in self.idx.iter().enumerate() {
-            while b < other.idx.len() && other.idx[b] < w {
-                b += 1;
+    /// The shared word-level union. One forward pass ORs every source word
+    /// whose index the skeleton already has and reports the new bits in
+    /// ascending order; when some source words are missing from the
+    /// skeleton, the vectors grow once (amortized) and a backward pass
+    /// slides the existing words up to interleave the missing ones in
+    /// place. Counts source words read plus destination words written by
+    /// the backward pass.
+    fn or_words(&mut self, oidx: &[u32], obits: &[u64], added: &mut Vec<u32>) -> u64 {
+        let mut missing = 0usize;
+        let mut i = 0usize;
+        for (&w, &o) in oidx.iter().zip(obits) {
+            if o == 0 {
+                continue;
             }
-            let theirs = if b < other.idx.len() && other.idx[b] == w {
-                other.bits[b]
+            i = seek(&self.idx, i, w);
+            let new = if i < self.idx.len() && self.idx[i] == w {
+                let new = o & !self.bits[i];
+                self.bits[i] |= new;
+                new
+            } else {
+                missing += 1;
+                o
+            };
+            if new != 0 {
+                push_bits(w << 6, new, added);
+                self.count += new.count_ones();
+            }
+        }
+        let words = oidx.len() as u64;
+        if missing == 0 {
+            return words;
+        }
+        let old = self.idx.len();
+        let len = old + missing;
+        if self.idx.capacity() < len {
+            // Grow by at least a quarter: still amortized O(1) per word,
+            // but a set that stops growing holds at most 25% slack rather
+            // than the up-to-2x of `Vec`'s doubling (`peak_pts_bytes`
+            // counts capacity).
+            let extra = missing.max(old / 4);
+            self.idx.reserve_exact(extra);
+            self.bits.reserve_exact(extra);
+        }
+        self.idx.resize(len, 0);
+        self.bits.resize(len, 0);
+        // `k - a` is the number of missing words still to place; once it
+        // reaches zero the remaining prefix is already in position.
+        let (mut a, mut b, mut k) = (old, oidx.len(), len);
+        while k > a {
+            let (w, o) = (oidx[b - 1], obits[b - 1]);
+            if o == 0 {
+                b -= 1;
+                continue;
+            }
+            k -= 1;
+            if a > 0 && self.idx[a - 1] >= w {
+                if self.idx[a - 1] == w {
+                    b -= 1; // already ORed by the forward pass
+                }
+                a -= 1;
+                self.idx[k] = self.idx[a];
+                self.bits[k] = self.bits[a];
+            } else {
+                self.idx[k] = w;
+                self.bits[k] = o;
+                b -= 1;
+            }
+        }
+        words + (len - k) as u64
+    }
+
+    /// Set `out` to `self \ other` with word-level and-not, reusing
+    /// `out`'s allocation. Emits no zero words. Returns words touched.
+    pub fn diff_into(&self, other: &BitBlocks, out: &mut BitBlocks) -> u64 {
+        out.clear();
+        let mut j = 0usize;
+        for (&w, &mine) in self.idx.iter().zip(&self.bits) {
+            if mine == 0 {
+                continue;
+            }
+            j = seek(&other.idx, j, w);
+            let theirs = if j < other.idx.len() && other.idx[j] == w {
+                other.bits[j]
             } else {
                 0
             };
-            push_bits(w << 6, self.bits[a] & !theirs, out);
+            out.push_word(w, mine & !theirs);
         }
-        (self.idx.len() + other.idx.len().min(self.idx.len())) as u64
+        self.idx.len() as u64
+    }
+
+    /// Set `out` to `self` minus a strictly ascending slice of ids: a word
+    /// copy with the slice's bits masked off, reusing `out`'s allocation.
+    /// Emits no zero words. Returns words touched.
+    pub fn diff_sorted_into(&self, other: &[u32], out: &mut BitBlocks) -> u64 {
+        debug_assert!(other.windows(2).all(|w| w[0] < w[1]));
+        out.clear();
+        let mut j = 0usize;
+        for (&w, &mine) in self.idx.iter().zip(&self.bits) {
+            while j < other.len() && other[j] >> 6 < w {
+                j += 1;
+            }
+            let mut theirs = 0u64;
+            while j < other.len() && other[j] >> 6 == w {
+                theirs |= 1u64 << (other[j] & 63);
+                j += 1;
+            }
+            out.push_word(w, mine & !theirs);
+        }
+        self.idx.len() as u64
+    }
+
+    /// Append a word above every word already held; zero words are skipped.
+    #[inline]
+    fn push_word(&mut self, w: u32, bits: u64) {
+        debug_assert!(self.idx.last().is_none_or(|&last| last < w));
+        if bits != 0 {
+            self.idx.push(w);
+            self.bits.push(bits);
+            self.count += bits.count_ones();
+        }
+    }
+
+    /// Whether `self` and `other` share an element. Walks the shorter
+    /// skeleton and gallops through the longer one.
+    pub fn intersects(&self, other: &BitBlocks) -> bool {
+        let (short, long) = if self.idx.len() <= other.idx.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let mut j = 0usize;
+        for (&w, &bits) in short.idx.iter().zip(&short.bits) {
+            if bits == 0 {
+                continue;
+            }
+            j = seek(&long.idx, j, w);
+            if j >= long.idx.len() {
+                return false;
+            }
+            if long.idx[j] == w && long.bits[j] & bits != 0 {
+                return true;
+            }
+        }
+        false
     }
 
     /// Whether every element of `self` is in `other`.
@@ -384,14 +496,38 @@ mod tests {
     fn diff_and_subset() {
         let a = BitBlocks::from_sorted_slice(&[1, 2, 3, 130]);
         let b = BitBlocks::from_sorted_slice(&[2, 130]);
-        let mut out = Vec::new();
+        let mut out = BitBlocks::new();
         a.diff_into(&b, &mut out);
-        assert_eq!(out, vec![1, 3]);
+        assert_eq!(out.iter().collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out.word_count(), 1, "the emptied word 2 is not emitted");
         assert!(b.is_subset(&a));
         assert!(!a.is_subset(&b));
-        out.clear();
         b.diff_into(&a, &mut out);
-        assert!(out.is_empty());
+        assert!(out.is_empty() && out.word_count() == 0);
+        a.diff_sorted_into(&[2, 3, 130, 500], &mut out);
+        assert_eq!(out.iter().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(out.word_count(), 1);
+    }
+
+    #[test]
+    fn structural_union_interleaves_in_place() {
+        let mut a = BitBlocks::from_sorted_slice(&[64, 200, 640]);
+        let b = BitBlocks::from_sorted_slice(&[1, 65, 300, 641, 9000]);
+        let mut added = Vec::new();
+        let words = a.union_from(&b, &mut added);
+        assert_eq!(added, vec![1, 65, 300, 641, 9000]);
+        assert_eq!(
+            a.iter().collect::<Vec<_>>(),
+            vec![1, 64, 65, 200, 300, 640, 641, 9000]
+        );
+        assert_eq!(a.len(), 8);
+        assert_eq!(a.word_count(), 6);
+        assert!(words >= b.word_count() as u64);
+        added.clear();
+        a.union_sorted(&[0, 64, 10_000], &mut added);
+        assert_eq!(added, vec![0, 10_000]);
+        assert_eq!(a.len(), 10);
     }
 
     #[test]
@@ -412,5 +548,14 @@ mod tests {
         assert!(a.is_subset(&b));
         assert!(b.is_subset(&a));
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1]);
+        // A zero word in the source is neither reported nor inserted.
+        let mut c = BitBlocks::from_sorted_slice(&[500]);
+        let mut added = Vec::new();
+        c.union_from(&a, &mut added);
+        assert_eq!(added, vec![1]);
+        assert_eq!(c.word_count(), 2);
+        let mut out = BitBlocks::new();
+        a.diff_into(&c, &mut out);
+        assert!(out.is_empty() && out.word_count() == 0);
     }
 }

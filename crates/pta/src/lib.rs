@@ -67,6 +67,13 @@ pub mod steens;
 ///
 /// v4: deterministic PWC invariant ordering in reports (sorted by field
 /// locations) and the incremental re-solve counters in [`SolveStats`].
+///
+/// Word-level delta propagation (deltas kept as bitmaps, canonicalized
+/// only against the merged-id bitmap) did not bump this, nor
+/// [`INCR_STATE_VERSION`]: set contents, pop order and field-node creation
+/// order are unchanged (pinned by `kaleidoscope-exec`'s
+/// `propagation_golden` test); only the `union_words`/`peak_pts_bytes`
+/// cost counters moved, which `--stats` reports version separately.
 pub const PTS_REPR_VERSION: u32 = 4;
 
 pub use analysis::Analysis;
@@ -76,7 +83,7 @@ pub use ctxplan::{ChainStep, CriticalFlow, CtxPlan};
 pub use incr::{ConstraintDiff, FallbackReason, SolvedState, INCR_STATE_VERSION};
 pub use node::{NodeId, NodeKind, NodeTable, ObjId, ObjInfo, ObjSite};
 pub use observer::{NullObserver, SolveEvent, SolverObserver};
-pub use pts::{PtsSet, DEMOTE_AT, SMALL_MAX};
+pub use pts::{PtsDelta, PtsSet, DEMOTE_AT, SMALL_MAX};
 pub use solver::{
     BudgetKind, PaFilterEvent, PwcEvent, SolveBudget, SolveError, SolveOptions, SolveResult,
     SolveStats, Solver,

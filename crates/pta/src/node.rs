@@ -11,6 +11,8 @@ use std::fmt;
 
 use kaleidoscope_ir::{FuncId, GlobalId, InstLoc, LocalId, Module, Type};
 
+use crate::pts::PtsSet;
+
 /// Identifier of a node in the [`NodeTable`].
 ///
 /// `repr(transparent)` is load-bearing: `pta::pts` reinterprets
@@ -132,6 +134,10 @@ pub struct NodeTable {
     /// the object type; for field nodes, the field type.
     tys: Vec<Option<Type>>,
     rep: Vec<u32>,
+    /// Every id that lost a [`NodeTable::merge`] (i.e. is no longer its own
+    /// representative). A points-to set that does not intersect this is
+    /// already canonical, so `find` over its members can be skipped.
+    merged: PtsSet,
     objs: Vec<ObjInfo>,
     obj_root: Vec<NodeId>,
     obj_fields: Vec<Vec<NodeId>>,
@@ -205,7 +211,15 @@ impl NodeTable {
             return None;
         }
         self.rep[a.index()] = b.0;
+        self.merged.insert(a);
         Some((b, a))
+    }
+
+    /// The ids merged away so far (see [`NodeTable::merge`]). Cycle
+    /// merges, object collapses and incremental restores all go through
+    /// `merge`, so this is complete.
+    pub fn merged(&self) -> &PtsSet {
+        &self.merged
     }
 
     /// Get or create the node for a local variable.
@@ -440,6 +454,8 @@ mod tests {
         assert_eq!(t.find(a), t.find(c));
         assert!(t.merge(a, c).is_none(), "already merged");
         assert_eq!(t.find_ref(a), t.find(a));
+        let merged: Vec<NodeId> = t.merged().iter().collect();
+        assert_eq!(merged, vec![a, b], "losers recorded, representative not");
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! around the promotion boundary does not thrash representations.
 //!
 //! Every operation observes the set as sorted ascending — the iterator,
-//! `Display`, and the delta slices handed to the solver all yield ids in
+//! `Display`, and the deltas handed to the solver all yield ids in
 //! the same order the old sorted-vec representation did, so printed
-//! artifacts and cache fingerprints are unchanged. The solver relies on
-//! `union_from`/`union_slice_from` appending exactly the newly added
-//! elements so it can do difference ("delta") propagation without
-//! allocating per step.
+//! artifacts and cache fingerprints are unchanged. The solver's difference
+//! ("delta") propagation is word-level end to end: [`PtsSet::diff_into`]
+//! computes `pts \ prop` into a reusable [`PtsDelta`] with and-not word
+//! loops, and `union_from` ORs that delta into each successor, appending
+//! exactly the newly added elements for observers.
 
 use std::fmt;
 
@@ -209,6 +210,19 @@ impl PtsSet {
         }
     }
 
+    /// Append an id above every element of an inline set with room left.
+    fn push_inline(&mut self, n: NodeId) {
+        match &mut self.repr {
+            Repr::Small { len, buf } => {
+                debug_assert!((*len as usize) < SMALL_MAX);
+                debug_assert!(*len == 0 || buf[*len as usize - 1] < n);
+                buf[*len as usize] = n;
+                *len += 1;
+            }
+            Repr::Bits(_) => unreachable!("inline sets only"),
+        }
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         match &self.repr {
@@ -290,16 +304,13 @@ impl PtsSet {
     pub fn union_from(&mut self, other: &PtsSet, added: &mut Vec<NodeId>) -> u64 {
         match &other.repr {
             Repr::Small { len, buf } => self.union_slice_from(&buf[..*len as usize], added),
-            Repr::Bits(ob) => {
-                // `other` holds > SMALL_MAX ids in practice (or was promoted
-                // and shrank); the result won't stay inline, so promote.
-                let sb = self.promote();
-                let start = added.len();
-                let raw: &mut Vec<u32> = unsafe { transmute_ids(added) };
-                let words = sb.union_from(ob, raw);
-                debug_assert!(added[start..].windows(2).all(|w| w[0] < w[1]));
-                words
-            }
+            // `other` holds > SMALL_MAX ids in practice (deltas of at most
+            // SMALL_MAX ids are inline); the result won't stay inline.
+            // SAFETY: `NodeId` is `repr(transparent)` over `u32` (see
+            // `transmute_ids`), and `added` is borrowed exclusively.
+            Repr::Bits(ob) => self
+                .promote()
+                .union_from(ob, unsafe { transmute_ids(added) }),
         }
     }
 
@@ -369,27 +380,17 @@ impl PtsSet {
                     *len = m as u8;
                     return words;
                 }
-                // Result exceeds the inline capacity: promote and replay the
-                // remaining slice elements through the bitmap.
+                // Result exceeds the inline capacity: promote and redo the
+                // union at word level.
                 added.truncate(added_start);
-                let b = self.promote();
-                for &v in other {
-                    if b.insert(v.0) {
-                        added.push(v);
-                    }
-                }
-                words + other.len() as u64
-            }
-            Repr::Bits(b) => {
-                let mut words = small_words(other.len());
-                for &v in other {
-                    if b.insert(v.0) {
-                        added.push(v);
-                    }
-                }
-                words += b.word_count() as u64 / 8;
+                // SAFETY: as in `union_from`.
                 words
+                    + self
+                        .promote()
+                        .union_sorted(raw_ids(other), unsafe { transmute_ids(added) })
             }
+            // SAFETY: as in `union_from`.
+            Repr::Bits(b) => b.union_sorted(raw_ids(other), unsafe { transmute_ids(added) }),
         }
     }
 
@@ -400,27 +401,30 @@ impl PtsSet {
         added
     }
 
-    /// Union a sorted slice into `self`, returning the elements that were new.
-    pub fn union_slice(&mut self, other: &[NodeId]) -> Vec<NodeId> {
-        let mut added = Vec::new();
-        self.union_slice_from(other, &mut added);
-        added
-    }
-
-    /// Append `self \ other` (ascending) to `out`. Returns words touched.
-    pub fn diff_into(&self, other: &PtsSet, out: &mut Vec<NodeId>) -> u64 {
+    /// Set `out` to `self \ other`. Bitmap operands diff at word level
+    /// (and-not against a bitmap, or a word copy minus at most
+    /// [`SMALL_MAX`] bits against an inline set); the result is inline
+    /// iff it has at most [`SMALL_MAX`] ids. Returns words touched.
+    pub fn diff_into(&self, other: &PtsSet, out: &mut PtsDelta) -> u64 {
         match (&self.repr, &other.repr) {
-            (Repr::Bits(sb), Repr::Bits(ob)) => {
-                let raw: &mut Vec<u32> = unsafe { transmute_ids(out) };
-                sb.diff_into(ob, raw)
-            }
-            _ => {
-                let words = small_words(self.len().min(SMALL_MAX) + other.len().min(SMALL_MAX));
-                for n in self.iter() {
+            (Repr::Small { len, buf }, _) => {
+                out.park();
+                let l = *len as usize;
+                for &n in &buf[..l] {
                     if !other.contains(n) {
-                        out.push(n);
+                        out.set.push_inline(n);
                     }
                 }
+                small_words(l + other.len().min(SMALL_MAX))
+            }
+            (Repr::Bits(sb), Repr::Small { len, buf }) => {
+                let words = sb.diff_sorted_into(raw_ids(&buf[..*len as usize]), out.park());
+                out.settle();
+                words
+            }
+            (Repr::Bits(sb), Repr::Bits(ob)) => {
+                let words = sb.diff_into(ob, out.park());
+                out.settle();
                 words
             }
         }
@@ -428,9 +432,19 @@ impl PtsSet {
 
     /// Elements of `self` that are not in `other` (set difference).
     pub fn difference(&self, other: &PtsSet) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.diff_into(other, &mut out);
-        out
+        self.iter().filter(|&n| !other.contains(n)).collect()
+    }
+
+    /// Whether `self` and `other` share an element (word-level when both
+    /// are bitmaps).
+    pub fn intersects(&self, other: &PtsSet) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Bits(a), Repr::Bits(b)) => a.intersects(b),
+            (Repr::Small { len, buf }, _) => {
+                buf[..*len as usize].iter().any(|&n| other.contains(n))
+            }
+            (_, Repr::Small { len, buf }) => buf[..*len as usize].iter().any(|&n| self.contains(n)),
+        }
     }
 
     /// Whether `self` is a subset of `other`.
@@ -508,6 +522,59 @@ impl PtsSet {
 #[inline]
 unsafe fn transmute_ids(v: &mut Vec<NodeId>) -> &mut Vec<u32> {
     &mut *(v as *mut Vec<NodeId> as *mut Vec<u32>)
+}
+
+/// View a `&[NodeId]` as `&[u32]` for the bitvec APIs (sound for the
+/// same `#[repr(transparent)]` reason as [`transmute_ids`]).
+#[inline]
+fn raw_ids(v: &[NodeId]) -> &[u32] {
+    // SAFETY: `NodeId` is `repr(transparent)` over `u32`, so the pointer
+    // is valid and aligned for `v.len()` `u32`s for the borrow of `v`.
+    unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u32, v.len()) }
+}
+
+/// Reusable output of [`PtsSet::diff_into`]: the difference as a
+/// [`PtsSet`], plus the bitmap allocation parked while that difference is
+/// inline. The solver computes one delta per worklist pop; parking means
+/// the delta bitmap is allocated once and reused for the whole solve
+/// instead of once per large delta.
+#[derive(Debug, Default)]
+pub struct PtsDelta {
+    set: PtsSet,
+    spare: BitBlocks,
+}
+
+impl PtsDelta {
+    /// An empty delta buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The current difference.
+    pub fn set(&self) -> &PtsSet {
+        &self.set
+    }
+
+    /// Reset the set to empty inline, parking its bitmap (if any) as the
+    /// working bitmap, and return that bitmap.
+    fn park(&mut self) -> &mut BitBlocks {
+        if let Repr::Bits(b) = std::mem::take(&mut self.set).repr {
+            self.spare = b;
+        }
+        &mut self.spare
+    }
+
+    /// Publish the working bitmap: decoded inline when it has at most
+    /// [`SMALL_MAX`] ids (the bitmap stays parked), else moved into the set.
+    fn settle(&mut self) {
+        if self.spare.len() <= SMALL_MAX {
+            for v in self.spare.iter() {
+                self.set.push_inline(NodeId(v));
+            }
+        } else {
+            self.set.repr = Repr::Bits(std::mem::take(&mut self.spare));
+        }
+    }
 }
 
 /// Sorted-order iterator over a [`PtsSet`].
@@ -711,9 +778,30 @@ mod tests {
         assert_eq!(added.len(), 39);
         assert!(added.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(small.len(), 41);
-        let mut out = Vec::new();
+        let mut out = PtsDelta::new();
         small.diff_into(&big, &mut out);
-        assert_eq!(out, vec![n(100)]);
+        assert_eq!(to_vec(out.set()), vec![n(100)]);
+    }
+
+    #[test]
+    fn delta_is_inline_iff_small_and_reuses_its_bitmap() {
+        let big: PtsSet = (0..100u32).map(n).collect();
+        let mut out = PtsDelta::new();
+        // Against an empty inline `prop`: a straight word copy.
+        big.diff_into(&PtsSet::new(), &mut out);
+        assert_eq!(out.set(), &big);
+        assert!(out.set().heap_bytes() > 0);
+        // Bitmap minus bitmap leaving SMALL_MAX ids: inline again.
+        let most: PtsSet = (0..100 - SMALL_MAX as u32).map(n).collect();
+        big.diff_into(&most, &mut out);
+        assert_eq!(out.set().len(), SMALL_MAX);
+        assert_eq!(out.set().heap_bytes(), 0);
+        assert!(out.spare.heap_bytes() > 0, "bitmap parked, not freed");
+        // Bitmap minus an inline set: a word copy minus its bits.
+        let few: PtsSet = [n(3), n(64), n(99)].into_iter().collect();
+        big.diff_into(&few, &mut out);
+        assert_eq!(out.set().len(), 97);
+        assert!(!out.set().contains(n(64)) && out.set().contains(n(65)));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::callgraph::CallGraph;
 use crate::gen::{Constraint, ConstraintKind, CopyProvenance, IndirectCall, Origin, Program};
 use crate::node::{NodeId, NodeKind, NodeTable, ObjId, ObjSite};
 use crate::observer::{CollapseReason, SolverObserver};
-use crate::pts::PtsSet;
+use crate::pts::{PtsDelta, PtsSet};
 use crate::scc;
 
 /// Resource budget for one solver run — the analysis-time analogue of the
@@ -251,7 +251,9 @@ pub struct SolveStats {
     pub collapsed_cycles: usize,
     /// Objects turned field-insensitive.
     pub collapsed_objects: usize,
-    /// 64-bit words touched by set union/difference operations (inline
+    /// 64-bit bitmap words actually touched by set union/difference
+    /// operations: source words read plus destination words written or
+    /// shifted by a union, source words scanned by a difference (inline
     /// merges count one word per two u32 slots). Deterministic proxy for
     /// propagation cost, unlike wall-clock.
     pub union_words: u64,
@@ -296,21 +298,35 @@ impl SolveResult {
     /// The canonical points-to set of a node: representative-resolved and
     /// deduplicated.
     pub fn pts_of(&self, n: NodeId) -> PtsSet {
-        let rep = self.nodes.find_ref(n);
-        PtsSet::from_iter_unsorted(self.pts[rep.index()].iter().map(|m| self.nodes.find_ref(m)))
+        let raw = &self.pts[self.nodes.find_ref(n).index()];
+        if !raw.intersects(self.nodes.merged()) {
+            return raw.clone();
+        }
+        PtsSet::from_iter_unsorted(raw.iter().map(|m| self.nodes.find_ref(m)))
+    }
+
+    /// `pts_of(n).len()`, without building the set when the raw set holds
+    /// no merged-away ids (and is therefore already canonical).
+    pub fn pts_len(&self, n: NodeId) -> usize {
+        let raw = &self.pts[self.nodes.find_ref(n).index()];
+        if !raw.intersects(self.nodes.merged()) {
+            return raw.len();
+        }
+        self.pts_of(n).len()
     }
 }
 
 /// Reusable scratch buffers for the propagation loop. Each worklist pop
-/// borrows these via `mem::take`/restore instead of allocating: the delta,
-/// the canonicalized delta, the per-union added-elements buffer, and copies
-/// of the popped node's constraint lists (copies are still required for
-/// correctness — a merge triggered mid-pop moves the solver's own per-node
-/// lists — but they now reuse one allocation across all pops).
+/// borrows these via `mem::take`/restore instead of allocating: the delta
+/// bitmap, its decoded ids (only for nodes with complex constraints), the
+/// per-union added-elements buffer, and copies of the popped node's
+/// constraint lists (copies are still required for correctness — a merge
+/// triggered mid-pop moves the solver's own per-node lists — but they now
+/// reuse one allocation across all pops).
 #[derive(Debug, Default)]
 struct Scratch {
-    delta: Vec<NodeId>,
-    delta_canon: Vec<NodeId>,
+    delta: PtsDelta,
+    delta_ids: Vec<NodeId>,
     added: Vec<NodeId>,
     copy_added: Vec<NodeId>,
     merge_added: Vec<NodeId>,
@@ -718,22 +734,32 @@ impl<'m> Solver<'m> {
                 continue;
             }
             let mut delta = std::mem::take(&mut self.scratch.delta);
-            delta.clear();
             self.stats.union_words +=
                 self.pts[n.index()].diff_into(&self.prop[n.index()], &mut delta);
-            debug_assert!(!delta.is_empty(), "prop ⊆ pts violated");
+            debug_assert!(!delta.set().is_empty(), "prop ⊆ pts violated");
             // Refresh the propagated frontier in place (reuses the bitmap
             // allocation instead of cloning a fresh set).
             self.prop[n.index()].clone_from(&self.pts[n.index()]);
 
-            self.apply_complex(n, &delta, obs);
+            // Only complex constraints consume the delta id by id.
+            if self.has_complex(n) {
+                let mut ids = std::mem::take(&mut self.scratch.delta_ids);
+                ids.clear();
+                ids.extend(delta.set().iter());
+                self.apply_complex(n, &ids, obs);
+                self.scratch.delta_ids = ids;
+            }
 
-            // Copy propagation along out-edges.
-            let mut delta_canon = std::mem::take(&mut self.scratch.delta_canon);
-            delta_canon.clear();
-            delta_canon.extend(delta.iter().map(|&o| self.nodes.find(o)));
-            delta_canon.sort_unstable();
-            delta_canon.dedup();
+            // Copy propagation along out-edges, word by word. The delta
+            // holds raw ids; it needs rewriting to representatives only
+            // when one of them was merged away (object collapse or an
+            // earlier cycle merge), which the merged-id bitmap answers at
+            // word level.
+            let canon: Option<PtsSet> = delta
+                .set()
+                .intersects(self.nodes.merged())
+                .then(|| delta.set().iter().map(|o| self.nodes.find(o)).collect());
+            let src = canon.as_ref().unwrap_or(delta.set());
             let mut outs = std::mem::take(&mut self.scratch.outs);
             outs.clear();
             outs.extend_from_slice(&self.copy_out[n.index()]);
@@ -744,8 +770,7 @@ impl<'m> Solver<'m> {
                     continue;
                 }
                 added.clear();
-                self.stats.union_words +=
-                    self.pts[to.index()].union_slice_from(&delta_canon, &mut added);
+                self.stats.union_words += self.pts[to.index()].union_from(src, &mut added);
                 if !added.is_empty() {
                     obs.pts_grew(&self.nodes, to, &added);
                     self.push(to);
@@ -753,11 +778,22 @@ impl<'m> Solver<'m> {
             }
 
             self.scratch.delta = delta;
-            self.scratch.delta_canon = delta_canon;
             self.scratch.added = added;
             self.scratch.outs = outs;
         }
         Ok(())
+    }
+
+    /// Whether `n` carries any constraint that consumes its points-to
+    /// delta element by element (everything except plain copies).
+    fn has_complex(&self, n: NodeId) -> bool {
+        let i = n.index();
+        !self.loads[i].is_empty()
+            || !self.stores[i].is_empty()
+            || !self.fields[i].is_empty()
+            || !self.ariths[i].is_empty()
+            || !self.elems[i].is_empty()
+            || !self.icalls_by_fnptr[i].is_empty()
     }
 
     /// Apply the complex (non-copy) constraints gated on `pts(n)` to the
@@ -1287,13 +1323,7 @@ impl<'m> Solver<'m> {
                 self.prop[i].clear();
                 self.push(id);
             }
-            if !self.loads[i].is_empty()
-                || !self.stores[i].is_empty()
-                || !self.fields[i].is_empty()
-                || !self.ariths[i].is_empty()
-                || !self.elems[i].is_empty()
-                || !self.icalls_by_fnptr[i].is_empty()
-            {
+            if self.has_complex(id) {
                 self.prop[i].clear();
                 self.push(id);
             }
@@ -1422,6 +1452,39 @@ mod tests {
         assert_eq!(opt.pa_filters.len(), 1, "one filtered (site, obj) pair");
         let p_pts = local_pts(&m, &opt, "main", 8);
         assert_eq!(p_pts.len(), 1, "field sensitivity retained");
+    }
+
+    #[test]
+    fn queries_canonicalize_sets_naming_merged_ids() {
+        // A raw set that still names a field merged into its object root
+        // (an object collapse after the field reached the set).
+        let mut nodes = NodeTable::new();
+        let o = nodes.object(
+            ObjSite::Global(kaleidoscope_ir::GlobalId(0)),
+            Some(Type::Struct(kaleidoscope_ir::StructId(0))),
+        );
+        let root = nodes.obj_root(o);
+        let field = nodes.field_node_typed(root, 0, &[Type::Int]);
+        let p = nodes.local_node(kaleidoscope_ir::FuncId(0), LocalId(0));
+        let q = nodes.local_node(kaleidoscope_ir::FuncId(0), LocalId(1));
+        nodes.merge(field, root);
+        let mut pts = vec![PtsSet::new(); nodes.len()];
+        pts[p.index()] = [field, root].into_iter().collect();
+        pts[q.index()] = [field].into_iter().collect();
+        let res = SolveResult {
+            nodes,
+            pts,
+            callgraph: CallGraph::new(),
+            pa_filters: Vec::new(),
+            pwcs: Vec::new(),
+            collapsed_objects: vec![o],
+            stats: SolveStats::default(),
+        };
+        for n in [p, q] {
+            assert_eq!(res.pts_of(n).iter().collect::<Vec<_>>(), vec![root]);
+            assert_eq!(res.pts_len(n), 1);
+        }
+        assert_eq!(res.pts_len(root), 0, "already canonical: raw length");
     }
 
     #[test]

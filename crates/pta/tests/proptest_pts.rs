@@ -1,6 +1,8 @@
 //! Model-based property tests: `PtsSet` must behave exactly like a
-//! `BTreeSet<u32>` under arbitrary operation sequences, and `union_into`
-//! must report exactly the new elements.
+//! `BTreeSet<u32>` under arbitrary operation sequences, `union_into` must
+//! report exactly the new elements, and the word-level delta operations
+//! (`diff_into`, `intersects`, structural `union_from`) must agree with
+//! the model for every pair of representations.
 //!
 //! Driven by the in-repo [`kaleidoscope_prng::check`] harness (the sandbox
 //! has no registry access for proptest); failing cases print their seed.
@@ -8,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use kaleidoscope_prng::{check, Rng};
-use kaleidoscope_pta::{NodeId, PtsSet, DEMOTE_AT, SMALL_MAX};
+use kaleidoscope_pta::{NodeId, PtsDelta, PtsSet, DEMOTE_AT, SMALL_MAX};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -147,10 +149,10 @@ fn hybrid_promotion_matches_btreeset_model() {
             .collect();
         let other: PtsSet = vs.iter().map(|&v| NodeId(v)).collect();
         let other_model: BTreeSet<u32> = vs.into_iter().collect();
-        let mut out = Vec::new();
+        let mut out = PtsDelta::new();
         sut.diff_into(&other, &mut out);
         let expect: Vec<u32> = model.difference(&other_model).copied().collect();
-        assert_eq!(out.iter().map(|n| n.0).collect::<Vec<_>>(), expect);
+        assert_eq!(out.set().iter().map(|n| n.0).collect::<Vec<_>>(), expect);
         assert_eq!(
             sut.is_subset(&other),
             model.is_subset(&other_model),
@@ -248,6 +250,125 @@ fn union_is_idempotent_and_monotone() {
         // Difference + subset coherence.
         for n in sa.difference(&sb) {
             assert!(sa.contains(n) && !sb.contains(n));
+        }
+    });
+}
+
+fn items(s: &PtsSet) -> Vec<u32> {
+    s.iter().map(|n| n.0).collect()
+}
+
+/// A random set that is a bitmap (more than `SMALL_MAX` ids) with
+/// probability `bitmap_odds`, else inline (at most `SMALL_MAX`). Half of the bitmap sets then have
+/// whole words emptied by `remove`, staying above `DEMOTE_AT` so they keep
+/// their bitmap — with the zero words `remove` leaves in the skeleton.
+fn random_set(rng: &mut Rng, bitmap_odds: f64) -> (PtsSet, BTreeSet<u32>) {
+    let bitmap = rng.gen_bool(bitmap_odds);
+    let target = if bitmap {
+        SMALL_MAX + 1 + rng.gen_range(0..80usize)
+    } else {
+        rng.gen_range(0..=SMALL_MAX)
+    };
+    let mut model = BTreeSet::new();
+    while model.len() < target {
+        model.insert(rng.gen_range(0..4096u32));
+    }
+    let mut set: PtsSet = model.iter().map(|&v| NodeId(v)).collect();
+    if bitmap && rng.gen_bool(0.5) {
+        for _ in 0..rng.gen_range(1..4usize) {
+            let &pick = model.iter().nth(rng.gen_range(0..model.len())).unwrap();
+            let word: Vec<u32> = model
+                .iter()
+                .copied()
+                .filter(|v| v / 64 == pick / 64)
+                .collect();
+            if model.len() - word.len() > DEMOTE_AT {
+                for v in word {
+                    assert!(set.remove(NodeId(v)));
+                    model.remove(&v);
+                }
+            }
+        }
+    }
+    assert_eq!(set.heap_bytes() > 0, bitmap, "representation as requested");
+    (set, model)
+}
+
+/// The second operand of a delta: empty, inline, bitmap, or a random
+/// subset of `of` (the solver's `prop ⊆ pts` case).
+fn random_other(rng: &mut Rng, of: &BTreeSet<u32>) -> (PtsSet, BTreeSet<u32>) {
+    match rng.gen_range(0..4u32) {
+        0 => (PtsSet::new(), BTreeSet::new()),
+        1 => random_set(rng, 0.0),
+        2 => random_set(rng, 1.0),
+        _ => {
+            let keep = rng.gen_range(0..=100u32);
+            let model: BTreeSet<u32> = of
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_range(0..100u32) < keep)
+                .collect();
+            (model.iter().map(|&v| NodeId(v)).collect(), model)
+        }
+    }
+}
+
+#[test]
+fn delta_matches_model_for_every_representation_pair() {
+    check(256, 0xd317, |rng| {
+        // One buffer across several deltas, as in the solver, so the
+        // parked bitmap is reused between inline and bitmap results.
+        let mut out = PtsDelta::new();
+        for _ in 0..6 {
+            let (a, am) = random_set(rng, 0.5);
+            let (b, bm) = random_other(rng, &am);
+            a.diff_into(&b, &mut out);
+            let expect: Vec<u32> = am.difference(&bm).copied().collect();
+            assert_eq!(items(out.set()), expect, "delta content");
+            assert_eq!(out.set().len(), expect.len(), "delta len");
+            assert_eq!(
+                out.set().heap_bytes() == 0,
+                expect.len() <= SMALL_MAX,
+                "delta is inline iff it has at most SMALL_MAX ids ({})",
+                expect.len()
+            );
+        }
+    });
+}
+
+#[test]
+fn intersects_matches_model_for_every_representation_pair() {
+    check(256, 0x1e75, |rng| {
+        let (a, am) = random_set(rng, 0.5);
+        let (b, bm) = random_other(rng, &am);
+        let expect = !am.is_disjoint(&bm);
+        assert_eq!(a.intersects(&b), expect);
+        assert_eq!(b.intersects(&a), expect, "symmetric");
+    });
+}
+
+#[test]
+fn structural_union_reports_exactly_the_new_ids() {
+    check(256, 0x57c0, |rng| {
+        let (mut a, mut am) = random_set(rng, 0.5);
+        for _ in 0..4 {
+            // Sparse ids over a wide range, so most source words are
+            // missing from the destination skeleton and the merge grows it.
+            let (b, bm) = random_set(rng, 0.7);
+            let mut added = Vec::new();
+            a.union_from(&b, &mut added);
+            let expect: Vec<u32> = bm.difference(&am).copied().collect();
+            assert_eq!(
+                added.iter().map(|n| n.0).collect::<Vec<_>>(),
+                expect,
+                "added is exactly the new ids, ascending"
+            );
+            am.extend(bm);
+            assert_eq!(a.len(), am.len(), "len after union");
+            assert_eq!(items(&a), am.iter().copied().collect::<Vec<_>>());
+            // Idempotent, and the source is now a subset.
+            assert!(a.union_into(&b).is_empty());
+            assert!(b.is_subset(&a));
         }
     });
 }

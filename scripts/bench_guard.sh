@@ -16,8 +16,16 @@
 #                          machine, where medians measure scheduler noise,
 #                          else 0)
 #
-# Exit code: 0 when clean or warn-only; 1 when a regression exceeds the
-# tolerance and warn-only is off; 2 on usage errors.
+# Deterministic counters: samples that carry the solver's cost counters
+# (`pops`, `union_words`, `alloc_bytes`, `peak_pts_bytes` in
+# BENCH_solver.json) are also gated per sample on those: any change in
+# `pops` or any rise in the other three fails the guard. These counters
+# do not depend on the host, so warn-only mode (and its 1-CPU default)
+# never excuses them — only the wall-clock medians get the tolerance.
+#
+# Exit code: 0 when clean or warn-only (medians only); 1 when a median
+# regression exceeds the tolerance and warn-only is off, or when any
+# deterministic counter regressed; 2 on usage errors.
 
 set -euo pipefail
 
@@ -53,8 +61,34 @@ counters() {
     sed -n '/"counters"/,/}/s/^ *"\([a-z_]*\)": \([0-9]*\),\{0,1\}$/\1 \2/p'
 }
 
+# One "label pops union_words alloc_bytes peak_pts_bytes" line per sample
+# that carries at least one of the deterministic counters; `-` marks a
+# counter the sample lacks.
+det_counters() {
+    awk '
+        /"label": "/ {
+            match($0, /"label": "[^"]*"/)
+            line = substr($0, RSTART + 10, RLENGTH - 11)
+            found = 0
+            n = split("pops union_words alloc_bytes peak_pts_bytes", keys, " ")
+            for (i = 1; i <= n; i++) {
+                if (match($0, "\"" keys[i] "\": [0-9]+")) {
+                    v = substr($0, RSTART, RLENGTH)
+                    sub(/.*: /, "", v)
+                    line = line " " v
+                    found = 1
+                } else {
+                    line = line " -"
+                }
+            }
+            if (found) print line
+        }
+    '
+}
+
 : >"$OUT"
 status=0
+counter_status=0
 for f in "$@"; do
     if [[ ! -f "$f" ]]; then
         echo "error: $f does not exist (run the bench first)" >&2
@@ -97,7 +131,31 @@ for f in "$@"; do
                 printf "%-11s %-46s %23s %10d\n", "counter-new", $1, "", $2
         }
     ' <(git show "$REF:$f" | counters) <(counters <"$f") | tee -a "$OUT"
+    # Deterministic cost counters (gating, never warn-only).
+    if ! awk '
+        BEGIN { split("pops union_words alloc_bytes peak_pts_bytes", names, " ") }
+        NR == FNR { for (i = 2; i <= 5; i++) base[$1, i] = $i; known[$1] = 1; next }
+        ($1 in known) {
+            for (i = 2; i <= 5; i++) {
+                b = base[$1, i]
+                c = $i
+                if (b == "-" || c == "-") continue
+                if (i == 2 ? c != b : c + 0 > b + 0) {
+                    printf "%-11s %-46s %s %s -> %s\n", "COUNTER", $1, names[i - 1], b, c
+                    bad = 1
+                }
+            }
+        }
+        END { exit bad }
+    ' <(git show "$REF:$f" | det_counters) <(det_counters <"$f") | tee -a "$OUT"; then
+        counter_status=1
+    fi
 done
+
+if [[ "$counter_status" -ne 0 ]]; then
+    echo "bench_guard: deterministic counters regressed (pops changed, or union_words/alloc_bytes/peak_pts_bytes rose) — see $OUT" >&2
+    exit 1
+fi
 
 if [[ "$status" -ne 0 ]]; then
     if [[ "$BENCH_GUARD_WARN_ONLY" -eq 1 ]]; then
