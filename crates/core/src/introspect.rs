@@ -20,7 +20,7 @@ use kaleidoscope_ir::{InstLoc, Module, Type};
 use kaleidoscope_pta::gen::CopyProvenance;
 use kaleidoscope_pta::gen::Origin;
 use kaleidoscope_pta::observer::CollapseReason;
-use kaleidoscope_pta::{NodeId, NodeTable, ObjId, SolverObserver};
+use kaleidoscope_pta::{NodeId, NodeTable, ObjId, PtsSet, SolverObserver};
 
 /// Maximum origin paths retained per derived edge (paper: "we retain the
 /// five most recent paths").
@@ -262,7 +262,7 @@ fn origin_loc(o: &Origin) -> Option<InstLoc> {
 }
 
 impl SolverObserver for Introspector {
-    fn pts_grew(&mut self, nodes: &NodeTable, target: NodeId, added: &[NodeId]) {
+    fn pts_grew(&mut self, nodes: &NodeTable, target: NodeId, added: &PtsSet) {
         // Growth heuristic.
         let g = self.growth.entry(target).or_insert(0);
         *g += added.len();
@@ -278,7 +278,7 @@ impl SolverObserver for Introspector {
         }
         // Type-diversity heuristic.
         let keys = self.types.entry(target).or_default();
-        for &o in added {
+        for o in added.iter() {
             let k = type_key(nodes.ty(o));
             if !keys.contains(&k) {
                 keys.push(k);

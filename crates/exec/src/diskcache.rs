@@ -114,7 +114,10 @@ pub struct ReportScope {
 /// v2: the three wave-schedule counters left the row.
 /// v3: word-level delta propagation changed the values of `union-words`
 /// (now bitmap words actually touched) and `peak-pts-bytes`.
-const STATS_ROW_VERSION: u32 = 3;
+/// v4: the pending frontier changed them again (`union-words` stopped
+/// counting per-pop difference scans, `peak-pts-bytes` lost the second
+/// copy of every set).
+const STATS_ROW_VERSION: u32 = 4;
 
 impl ReportScope {
     /// The filename fragment for this scope.
@@ -710,9 +713,11 @@ mod tests {
         assert_eq!(cache.get_report(9, wave).as_deref(), Some("fresh\n"));
     }
 
-    #[test]
-    fn stats_reports_cached_under_the_v2_row_are_misses() {
-        let dir = tmpdir("statsrow3");
+    /// A verified report stored under stats row `old` (`…-alls<old>-…`,
+    /// `…-c<k>s<old>-…`) is a miss, and a fresh publish is served.
+    fn stats_reports_under_row_are_misses(old: u32) {
+        assert!(old < STATS_ROW_VERSION);
+        let dir = tmpdir(&format!("statsrow{old}"));
         let cache = DiskCache::open(&dir).unwrap();
         let all = ReportScope {
             config: None,
@@ -727,26 +732,37 @@ mod tests {
             }),
             ..all
         };
-        // Verified reports under the v2 stats tags (`…-alls2-…`,
-        // `…-c<k>s2-…`), whose rows carry element-wise `union-words` and
-        // `peak-pts-bytes` values.
         let text = "solver[fallback]: pops=1 union-words=9 peak-pts-bytes=9\n";
+        let (cur, stale) = (format!("s{STATS_ROW_VERSION}-v"), format!("s{old}-v"));
         for scope in [all, one] {
             let tag = cache.report_path(9, scope);
             let name = tag.file_name().unwrap().to_str().unwrap();
-            assert!(name.contains("s3-v"), "{name}");
-            let old = tag.with_file_name(name.replace("s3-v", "s2-v"));
-            fs::write(&old, text).unwrap();
+            assert!(name.contains(&cur), "{name}");
+            let old_path = tag.with_file_name(name.replace(&cur, &stale));
+            fs::write(&old_path, text).unwrap();
             let sum = format!("{:016x} {}", fnv64(text.as_bytes()), text.len());
-            fs::write(old.with_extension("sum"), sum).unwrap();
+            fs::write(old_path.with_extension("sum"), sum).unwrap();
             assert_eq!(
                 cache.get_report(9, scope),
                 None,
-                "stale v2 stats row served"
+                "stale v{old} stats row served"
             );
             cache.put_report(9, scope, "fresh\n").unwrap();
             assert_eq!(cache.get_report(9, scope).as_deref(), Some("fresh\n"));
         }
+    }
+
+    #[test]
+    fn stats_reports_cached_under_the_v2_row_are_misses() {
+        // v2 rows carry element-wise `union-words` and `peak-pts-bytes`.
+        stats_reports_under_row_are_misses(2);
+    }
+
+    #[test]
+    fn stats_reports_cached_under_the_v3_row_are_misses() {
+        // v3 rows count per-pop difference scans in `union-words` and the
+        // solver's second copy of every set in `peak-pts-bytes`.
+        stats_reports_under_row_are_misses(3);
     }
 
     #[test]

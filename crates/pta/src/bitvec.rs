@@ -5,9 +5,10 @@
 //! index (`id / 64`), with the word-index array kept sorted so iteration
 //! yields ids in ascending order. Points-to sets in real constraint graphs
 //! are clustered (objects of one allocation region get adjacent node ids),
-//! so the word skeleton stays short while membership, union, difference,
+//! so the word skeleton stays short while membership, union, intersection
 //! and subset checks all become O(words) popcount/and-not loops instead of
-//! O(elements) sorted-vec merges.
+//! O(elements) sorted-vec merges. A union reports its growth as words too
+//! (another `BitBlocks`), so no id is decoded unless a consumer iterates.
 //!
 //! All bulk operations report the number of 64-bit words they touched, so
 //! the solver can expose propagation cost as a deterministic counter
@@ -36,22 +37,12 @@ impl Clone for BitBlocks {
     }
 
     /// Reuse the destination's allocations (`Vec::clone_from`), so the
-    /// solver's `prop.clone_from(&pts)` refresh is allocation-free once the
-    /// vectors have warmed up.
+    /// solver's per-pop copy of a frontier into its scratch delta is
+    /// allocation-free once the vectors have warmed up.
     fn clone_from(&mut self, other: &Self) {
         self.idx.clone_from(&other.idx);
         self.bits.clone_from(&other.bits);
         self.count = other.count;
-    }
-}
-
-/// Append every set bit of `word` (ascending) as `base + bit` to `out`.
-#[inline]
-fn push_bits(base: u32, mut word: u64, out: &mut Vec<u32>) {
-    while word != 0 {
-        let b = word.trailing_zeros();
-        out.push(base + b);
-        word &= word - 1;
     }
 }
 
@@ -195,45 +186,49 @@ impl BitBlocks {
         self.count = 0;
     }
 
-    /// Union `other` into `self`, appending the newly added ids (ascending)
-    /// to `added`. Returns the number of words touched.
-    pub fn union_from(&mut self, other: &BitBlocks, added: &mut Vec<u32>) -> u64 {
+    /// Union `other` into `self`, appending each newly set word to `added`
+    /// in ascending order, so an empty `added` ends up holding exactly the
+    /// new ids. Returns the number of words touched.
+    pub fn union_from(&mut self, other: &BitBlocks, added: &mut BitBlocks) -> u64 {
         self.or_words(&other.idx, &other.bits, added)
     }
 
     /// Union a strictly ascending slice of ids into `self`, appending the
-    /// newly added ids (ascending) to `added`. The ids are packed into
-    /// words first, so this is the same word-level merge as
-    /// [`BitBlocks::union_from`]. Returns the number of words touched.
-    pub fn union_sorted(&mut self, items: &[u32], added: &mut Vec<u32>) -> u64 {
+    /// newly set words to `added` as [`BitBlocks::union_from`] does. The
+    /// ids are packed into words first, so this is the same word-level
+    /// merge. Returns the number of words touched.
+    pub fn union_sorted(&mut self, items: &[u32], added: &mut BitBlocks) -> u64 {
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
         const CHUNK: usize = 64;
+        let mut idx = [0u32; CHUNK];
+        let mut bits = [0u64; CHUNK];
+        let mut k = 0usize;
         let mut words = 0;
-        for chunk in items.chunks(CHUNK) {
-            let mut idx = [0u32; CHUNK];
-            let mut bits = [0u64; CHUNK];
-            let mut k = 0usize;
-            for &v in chunk {
-                let w = v >> 6;
-                if k == 0 || idx[k - 1] != w {
-                    idx[k] = w;
-                    k += 1;
+        for &v in items {
+            let w = v >> 6;
+            if k == 0 || idx[k - 1] != w {
+                // Flush only between words, so no word spans two merges.
+                if k == CHUNK {
+                    words += self.or_words(&idx, &bits, added);
+                    k = 0;
                 }
-                bits[k - 1] |= 1u64 << (v & 63);
+                idx[k] = w;
+                bits[k] = 0;
+                k += 1;
             }
-            words += self.or_words(&idx[..k], &bits[..k], added);
+            bits[k - 1] |= 1u64 << (v & 63);
         }
-        words
+        words + self.or_words(&idx[..k], &bits[..k], added)
     }
 
     /// The shared word-level union. One forward pass ORs every source word
-    /// whose index the skeleton already has and reports the new bits in
-    /// ascending order; when some source words are missing from the
+    /// whose index the skeleton already has and hands each word's new bits
+    /// to `added`, ascending; when some source words are missing from the
     /// skeleton, the vectors grow once (amortized) and a backward pass
     /// slides the existing words up to interleave the missing ones in
-    /// place. Counts source words read plus destination words written by
-    /// the backward pass.
-    fn or_words(&mut self, oidx: &[u32], obits: &[u64], added: &mut Vec<u32>) -> u64 {
+    /// place. No id is decoded. Counts source words read plus destination
+    /// words written by the backward pass.
+    fn or_words(&mut self, oidx: &[u32], obits: &[u64], added: &mut BitBlocks) -> u64 {
         let mut missing = 0usize;
         let mut i = 0usize;
         for (&w, &o) in oidx.iter().zip(obits) {
@@ -250,7 +245,7 @@ impl BitBlocks {
                 o
             };
             if new != 0 {
-                push_bits(w << 6, new, added);
+                added.push_word(w, new);
                 self.count += new.count_ones();
             }
         }
@@ -295,47 +290,6 @@ impl BitBlocks {
             }
         }
         words + (len - k) as u64
-    }
-
-    /// Set `out` to `self \ other` with word-level and-not, reusing
-    /// `out`'s allocation. Emits no zero words. Returns words touched.
-    pub fn diff_into(&self, other: &BitBlocks, out: &mut BitBlocks) -> u64 {
-        out.clear();
-        let mut j = 0usize;
-        for (&w, &mine) in self.idx.iter().zip(&self.bits) {
-            if mine == 0 {
-                continue;
-            }
-            j = seek(&other.idx, j, w);
-            let theirs = if j < other.idx.len() && other.idx[j] == w {
-                other.bits[j]
-            } else {
-                0
-            };
-            out.push_word(w, mine & !theirs);
-        }
-        self.idx.len() as u64
-    }
-
-    /// Set `out` to `self` minus a strictly ascending slice of ids: a word
-    /// copy with the slice's bits masked off, reusing `out`'s allocation.
-    /// Emits no zero words. Returns words touched.
-    pub fn diff_sorted_into(&self, other: &[u32], out: &mut BitBlocks) -> u64 {
-        debug_assert!(other.windows(2).all(|w| w[0] < w[1]));
-        out.clear();
-        let mut j = 0usize;
-        for (&w, &mine) in self.idx.iter().zip(&self.bits) {
-            while j < other.len() && other[j] >> 6 < w {
-                j += 1;
-            }
-            let mut theirs = 0u64;
-            while j < other.len() && other[j] >> 6 == w {
-                theirs |= 1u64 << (other[j] & 63);
-                j += 1;
-            }
-            out.push_word(w, mine & !theirs);
-        }
-        self.idx.len() as u64
     }
 
     /// Append a word above every word already held; zero words are skipped.
@@ -472,62 +426,74 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![5, 4096]);
     }
 
+    fn ids(b: &BitBlocks) -> Vec<u32> {
+        b.iter().collect()
+    }
+
     #[test]
     fn union_in_place_and_structural() {
         let mut a = BitBlocks::from_sorted_slice(&[1, 2, 70]);
         let b = BitBlocks::from_sorted_slice(&[2, 3, 71]);
-        let mut added = Vec::new();
+        let mut added = BitBlocks::new();
         a.union_from(&b, &mut added);
-        assert_eq!(added, vec![3, 71]);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2, 3, 70, 71]);
+        assert_eq!(ids(&added), vec![3, 71]);
+        assert_eq!(added.len(), 2);
+        assert_eq!(ids(&a), vec![1, 2, 3, 70, 71]);
         // Structural: new word far away.
         let c = BitBlocks::from_sorted_slice(&[1000]);
         added.clear();
         a.union_from(&c, &mut added);
-        assert_eq!(added, vec![1000]);
+        assert_eq!(ids(&added), vec![1000]);
         assert_eq!(a.len(), 6);
-        // Idempotent.
+        // Idempotent: no word reported.
         added.clear();
         a.union_from(&b, &mut added);
-        assert!(added.is_empty());
+        assert!(added.is_empty() && added.word_count() == 0);
     }
 
     #[test]
-    fn diff_and_subset() {
+    fn subset_and_intersects() {
         let a = BitBlocks::from_sorted_slice(&[1, 2, 3, 130]);
         let b = BitBlocks::from_sorted_slice(&[2, 130]);
-        let mut out = BitBlocks::new();
-        a.diff_into(&b, &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.word_count(), 1, "the emptied word 2 is not emitted");
         assert!(b.is_subset(&a));
         assert!(!a.is_subset(&b));
-        b.diff_into(&a, &mut out);
-        assert!(out.is_empty() && out.word_count() == 0);
-        a.diff_sorted_into(&[2, 3, 130, 500], &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(out.word_count(), 1);
+        assert!(a.intersects(&b));
+        assert!(!a.intersects(&BitBlocks::from_sorted_slice(&[0, 129, 500])));
     }
 
     #[test]
     fn structural_union_interleaves_in_place() {
         let mut a = BitBlocks::from_sorted_slice(&[64, 200, 640]);
         let b = BitBlocks::from_sorted_slice(&[1, 65, 300, 641, 9000]);
-        let mut added = Vec::new();
+        let mut added = BitBlocks::new();
         let words = a.union_from(&b, &mut added);
-        assert_eq!(added, vec![1, 65, 300, 641, 9000]);
-        assert_eq!(
-            a.iter().collect::<Vec<_>>(),
-            vec![1, 64, 65, 200, 300, 640, 641, 9000]
-        );
+        assert_eq!(ids(&added), vec![1, 65, 300, 641, 9000]);
+        assert_eq!(ids(&a), vec![1, 64, 65, 200, 300, 640, 641, 9000]);
         assert_eq!(a.len(), 8);
         assert_eq!(a.word_count(), 6);
         assert!(words >= b.word_count() as u64);
         added.clear();
         a.union_sorted(&[0, 64, 10_000], &mut added);
-        assert_eq!(added, vec![0, 10_000]);
+        assert_eq!(ids(&added), vec![0, 10_000]);
         assert_eq!(a.len(), 10);
+    }
+
+    #[test]
+    fn sorted_union_never_splits_a_word_across_merges() {
+        // 65 ids in word 0 and one in word 1: more ids than one packing
+        // chunk holds, so the word-boundary flush must keep word 0 whole.
+        let items: Vec<u32> = (0..64).chain([100]).collect();
+        let mut a = BitBlocks::new();
+        let mut added = BitBlocks::new();
+        a.union_sorted(&items, &mut added);
+        assert_eq!(ids(&added), items);
+        assert_eq!(added.word_count(), 2);
+        // 70 distinct words: one flush between words 63 and 64.
+        let spread: Vec<u32> = (0..70).map(|w| w * 64 + 5).collect();
+        added.clear();
+        a.union_sorted(&spread, &mut added);
+        assert_eq!(ids(&added), spread[1..].to_vec(), "id 5 was already in");
+        assert_eq!(a.len(), 65 + 69);
     }
 
     #[test]
@@ -550,12 +516,10 @@ mod tests {
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1]);
         // A zero word in the source is neither reported nor inserted.
         let mut c = BitBlocks::from_sorted_slice(&[500]);
-        let mut added = Vec::new();
+        let mut added = BitBlocks::new();
         c.union_from(&a, &mut added);
-        assert_eq!(added, vec![1]);
+        assert_eq!(ids(&added), vec![1]);
+        assert_eq!(added.word_count(), 1);
         assert_eq!(c.word_count(), 2);
-        let mut out = BitBlocks::new();
-        a.diff_into(&c, &mut out);
-        assert!(out.is_empty() && out.word_count() == 0);
     }
 }

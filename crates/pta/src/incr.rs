@@ -35,7 +35,7 @@ use crate::gen::{ConstraintKind, CopyProvenance, IndirectCall, Program};
 use crate::node::{NodeId, NodeKind, ObjId, ObjSite};
 use crate::observer::SolverObserver;
 use crate::pts::PtsSet;
-use crate::solver::{PaFilterEvent, PwcEvent, SolveError, SolveResult, Solver};
+use crate::solver::{PaFilterEvent, Pending, PwcEvent, SolveError, SolveResult, Solver};
 
 /// Version of the incremental snapshot layout. Bumped on any change to
 /// [`SolvedState`] serialization or to the restore semantics; stale
@@ -968,9 +968,9 @@ impl<'m> Solver<'m> {
             self.collapsed_objects.push(o);
             self.stats.collapsed_objects += 1;
         }
-        // Points-to sets at the previous fixpoint; the propagated frontier
-        // equals the set, so restored nodes start with a zero delta. Each
-        // unique set is translated once, then shared by bitmap clone.
+        // Points-to sets at the previous fixpoint. Restored nodes start
+        // with nothing pending (a zero delta). Each unique set is
+        // translated once, then shared by bitmap clone.
         let sets: Vec<PtsSet> = prev
             .pts_sets
             .iter()
@@ -983,7 +983,6 @@ impl<'m> Solver<'m> {
         for &(r, si) in &prev.pts {
             let nr = self.nodes.find(map[r as usize]);
             let set = &sets[si as usize];
-            self.prop[nr.index()].clone_from(set);
             self.pts[nr.index()].clone_from(set);
         }
         // Copy edges, inserted directly: the restored sets already satisfy
@@ -1052,10 +1051,7 @@ impl<'m> Solver<'m> {
                 ConstraintKind::AddrOf { dst, obj } => {
                     let root = self.nodes.obj_root(obj);
                     let dst = self.nodes.find(dst);
-                    if self.pts[dst.index()].insert(root) {
-                        obs.pts_grew(&self.nodes, dst, &[root]);
-                        self.push(dst);
-                    }
+                    self.insert_pts(dst, root, obs);
                 }
                 ConstraintKind::Copy { dst, src } => {
                     self.add_copy(src, dst, CopyProvenance::Primitive(c.origin), obs);
@@ -1114,15 +1110,15 @@ impl<'m> Solver<'m> {
         }
     }
 
-    /// Seed a node for full re-propagation: clearing its propagated
-    /// frontier makes its entire points-to set the next delta, so appended
-    /// constraints observe every *existing* pointee, not just future
-    /// growth. Idempotent effects (copy-edge dedup, wired-callee sets,
-    /// PA/PWC seen-sets) make the redundant reprocessing of the prefix
+    /// Seed a node for full re-propagation: marking its whole points-to
+    /// set pending makes it the next delta, so appended constraints
+    /// observe every *existing* pointee, not just future growth.
+    /// Idempotent effects (copy-edge dedup, wired-callee sets, PA/PWC
+    /// seen-sets) make the redundant reprocessing of the prefix
     /// constraints registered on the same node harmless.
     fn seed(&mut self, n: NodeId) {
         let n = self.nodes.find(n);
-        self.prop[n.index()].clear();
+        self.pending[n.index()] = Pending::Full;
         self.push(n);
     }
 }

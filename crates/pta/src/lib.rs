@@ -74,6 +74,11 @@ pub mod steens;
 /// order are unchanged (pinned by `kaleidoscope-exec`'s
 /// `propagation_golden` test); only the `union_words`/`peak_pts_bytes`
 /// cost counters moved, which `--stats` reports version separately.
+/// Nor did the pending frontier that replaced the solver's second copy of
+/// every set, for the same reasons (the observer event stream is pinned
+/// too, by `kaleidoscope-pta`'s `observer_golden` test) and because KDIS
+/// snapshots never stored that copy: a restored node starts with nothing
+/// pending, exactly as it started with a zero delta before.
 pub const PTS_REPR_VERSION: u32 = 4;
 
 pub use analysis::Analysis;
@@ -82,7 +87,7 @@ pub use callgraph::CallGraph;
 pub use ctxplan::{ChainStep, CriticalFlow, CtxPlan};
 pub use incr::{ConstraintDiff, FallbackReason, SolvedState, INCR_STATE_VERSION};
 pub use node::{NodeId, NodeKind, NodeTable, ObjId, ObjInfo, ObjSite};
-pub use observer::{NullObserver, SolveEvent, SolverObserver};
+pub use observer::{NullObserver, SolverObserver};
 pub use pts::{PtsDelta, PtsSet, DEMOTE_AT, SMALL_MAX};
 pub use solver::{
     BudgetKind, PaFilterEvent, PwcEvent, SolveBudget, SolveError, SolveOptions, SolveResult,

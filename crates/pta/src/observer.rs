@@ -11,6 +11,7 @@ use kaleidoscope_ir::InstLoc;
 
 use crate::gen::CopyProvenance;
 use crate::node::{NodeId, NodeTable, ObjId};
+use crate::pts::PtsSet;
 
 /// Why an object was made field-insensitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,46 +24,15 @@ pub enum CollapseReason {
     Pwc,
 }
 
-/// A solver event, for logging-style observers.
-#[derive(Debug, Clone)]
-pub enum SolveEvent {
-    /// `target`'s points-to set grew by `added` elements.
-    PtsGrow {
-        /// Node whose set grew.
-        target: NodeId,
-        /// Number of newly added objects.
-        added: usize,
-    },
-    /// A derived copy edge was added.
-    DerivedCopy {
-        /// Source node.
-        from: NodeId,
-        /// Destination node.
-        to: NodeId,
-    },
-    /// A cycle was collapsed (`pwc` tells whether it contained a Field-Of
-    /// edge).
-    CycleCollapse {
-        /// Number of merged nodes.
-        size: usize,
-        /// Whether the cycle was a positive weight cycle.
-        pwc: bool,
-    },
-    /// An object was turned field-insensitive.
-    ObjectCollapse {
-        /// The collapsed object.
-        obj: ObjId,
-    },
-}
-
 /// Instrumentation surface of the Andersen solver.
 ///
 /// All methods have empty default bodies, so an observer only implements
 /// what it needs. Observers must not assume canonical node ids: the solver
 /// reports representative ids valid at event time.
 pub trait SolverObserver {
-    /// `target` gained the objects in `added`.
-    fn pts_grew(&mut self, nodes: &NodeTable, target: NodeId, added: &[NodeId]) {
+    /// `target` gained the objects in `added` (exactly the new ones; a
+    /// cycle merge reports the growth of all its losers as one set).
+    fn pts_grew(&mut self, nodes: &NodeTable, target: NodeId, added: &PtsSet) {
         let _ = (nodes, target, added);
     }
 
@@ -105,7 +75,7 @@ pub struct CountingObserver {
 }
 
 impl SolverObserver for CountingObserver {
-    fn pts_grew(&mut self, _nodes: &NodeTable, _target: NodeId, added: &[NodeId]) {
+    fn pts_grew(&mut self, _nodes: &NodeTable, _target: NodeId, added: &PtsSet) {
         self.objects_added += added.len();
     }
 
@@ -140,7 +110,11 @@ mod tests {
     fn counting_observer_accumulates() {
         let nodes = NodeTable::new();
         let mut c = CountingObserver::default();
-        c.pts_grew(&nodes, NodeId(0), &[NodeId(1), NodeId(2)]);
+        c.pts_grew(
+            &nodes,
+            NodeId(0),
+            &[NodeId(1), NodeId(2)].into_iter().collect(),
+        );
         c.cycle_collapsed(&nodes, &[NodeId(0), NodeId(1)], true);
         c.cycle_collapsed(&nodes, &[NodeId(2), NodeId(3)], false);
         c.object_collapsed(&nodes, ObjId(0), CollapseReason::Pwc);
@@ -154,7 +128,7 @@ mod tests {
     fn null_observer_is_a_noop() {
         let nodes = NodeTable::new();
         let mut n = NullObserver;
-        n.pts_grew(&nodes, NodeId(0), &[]);
+        n.pts_grew(&nodes, NodeId(0), &PtsSet::new());
         n.cycle_collapsed(&nodes, &[], false);
     }
 }

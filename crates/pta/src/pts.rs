@@ -4,7 +4,7 @@
 //! elements live in an inline sorted array (no heap allocation at all —
 //! the overwhelmingly common case for points-to sets), and larger sets
 //! promote to the sparse word-indexed bitmap in [`crate::bitvec`], where
-//! union/difference/subset run as word-level popcount loops. The threshold
+//! union/intersection/subset run as word-level popcount loops. The threshold
 //! is adaptive in both directions: a promoted set that shrinks back to
 //! [`DEMOTE_AT`] elements or fewer (via `remove`/`retain`) demotes to the
 //! inline array and frees its bitmap, so large-then-shrinking sets — SCC
@@ -13,13 +13,13 @@
 //! around the promotion boundary does not thrash representations.
 //!
 //! Every operation observes the set as sorted ascending — the iterator,
-//! `Display`, and the deltas handed to the solver all yield ids in
-//! the same order the old sorted-vec representation did, so printed
-//! artifacts and cache fingerprints are unchanged. The solver's difference
-//! ("delta") propagation is word-level end to end: [`PtsSet::diff_into`]
-//! computes `pts \ prop` into a reusable [`PtsDelta`] with and-not word
-//! loops, and `union_from` ORs that delta into each successor, appending
-//! exactly the newly added elements for observers.
+//! `Display`, and the growth handed to observers all yield ids in the same
+//! order the old sorted-vec representation did, so printed artifacts and
+//! cache fingerprints are unchanged. The solver's difference ("delta")
+//! propagation is word-level end to end: [`PtsSet::union_from`] ORs a
+//! delta into a successor and reports exactly the newly added elements as
+//! another set in a reusable [`PtsDelta`] — words in, words out, with no
+//! id decoded unless a consumer iterates it.
 
 use std::fmt;
 
@@ -299,140 +299,73 @@ impl PtsSet {
         }
     }
 
-    /// Union `other` into `self`, appending exactly the newly added elements
-    /// (ascending) to `added`. Returns the number of 64-bit words touched.
-    pub fn union_from(&mut self, other: &PtsSet, added: &mut Vec<NodeId>) -> u64 {
-        match &other.repr {
-            Repr::Small { len, buf } => self.union_slice_from(&buf[..*len as usize], added),
-            // `other` holds > SMALL_MAX ids in practice (deltas of at most
-            // SMALL_MAX ids are inline); the result won't stay inline.
-            // SAFETY: `NodeId` is `repr(transparent)` over `u32` (see
-            // `transmute_ids`), and `added` is borrowed exclusively.
-            Repr::Bits(ob) => self
-                .promote()
-                .union_from(ob, unsafe { transmute_ids(added) }),
-        }
-    }
-
-    /// Union a sorted deduplicated slice into `self`, appending the newly
-    /// added elements to `added`. Returns the number of words touched.
-    pub fn union_slice_from(&mut self, other: &[NodeId], added: &mut Vec<NodeId>) -> u64 {
-        debug_assert!(
-            other.windows(2).all(|w| w[0] < w[1]),
-            "input must be sorted"
-        );
-        if other.is_empty() {
-            return 0;
-        }
-        match &mut self.repr {
+    /// Union `other` into `self`, setting `grown` to exactly the newly
+    /// added elements: inline iff there are at most [`SMALL_MAX`] of them.
+    /// Bitmap growth is reported word by word, never decoded. Returns the
+    /// number of 64-bit words touched.
+    pub fn union_from(&mut self, other: &PtsSet, grown: &mut PtsDelta) -> u64 {
+        let words = match &other.repr {
             Repr::Small { len, buf } => {
-                let l = *len as usize;
-                let words = small_words(l + other.len());
-                // Merge into a stack buffer; spill to promotion on overflow.
-                let mut merged = [NodeId(0); SMALL_MAX];
-                let mut m = 0usize;
-                let (mut i, mut j) = (0usize, 0usize);
-                let added_start = added.len();
-                let mut overflow = false;
-                loop {
-                    let pick = if i < l && j < other.len() {
-                        use std::cmp::Ordering::*;
-                        match buf[i].cmp(&other[j]) {
-                            Less => {
-                                let v = buf[i];
-                                i += 1;
-                                v
-                            }
-                            Greater => {
-                                let v = other[j];
-                                j += 1;
-                                added.push(v);
-                                v
-                            }
-                            Equal => {
-                                let v = buf[i];
-                                i += 1;
-                                j += 1;
-                                v
-                            }
-                        }
-                    } else if i < l {
-                        let v = buf[i];
-                        i += 1;
-                        v
-                    } else if j < other.len() {
-                        let v = other[j];
-                        j += 1;
-                        added.push(v);
-                        v
-                    } else {
-                        break;
-                    };
-                    if m == SMALL_MAX {
-                        overflow = true;
-                        break;
-                    }
-                    merged[m] = pick;
-                    m += 1;
+                let other = &buf[..*len as usize];
+                if other.is_empty() {
+                    grown.park();
+                    return 0;
                 }
-                if !overflow {
-                    *buf = merged;
-                    *len = m as u8;
-                    return words;
-                }
-                // Result exceeds the inline capacity: promote and redo the
-                // union at word level.
-                added.truncate(added_start);
-                // SAFETY: as in `union_from`.
-                words
-                    + self
-                        .promote()
-                        .union_sorted(raw_ids(other), unsafe { transmute_ids(added) })
-            }
-            // SAFETY: as in `union_from`.
-            Repr::Bits(b) => b.union_sorted(raw_ids(other), unsafe { transmute_ids(added) }),
-        }
-    }
-
-    /// Union `other` into `self`, returning the elements that were new.
-    pub fn union_into(&mut self, other: &PtsSet) -> Vec<NodeId> {
-        let mut added = Vec::new();
-        self.union_from(other, &mut added);
-        added
-    }
-
-    /// Set `out` to `self \ other`. Bitmap operands diff at word level
-    /// (and-not against a bitmap, or a word copy minus at most
-    /// [`SMALL_MAX`] bits against an inline set); the result is inline
-    /// iff it has at most [`SMALL_MAX`] ids. Returns words touched.
-    pub fn diff_into(&self, other: &PtsSet, out: &mut PtsDelta) -> u64 {
-        match (&self.repr, &other.repr) {
-            (Repr::Small { len, buf }, _) => {
-                out.park();
-                let l = *len as usize;
-                for &n in &buf[..l] {
-                    if !other.contains(n) {
-                        out.set.push_inline(n);
+                let mut words = 0;
+                if let Repr::Small { len, .. } = self.repr {
+                    match self.union_inline(other, grown) {
+                        Some(words) => return words,
+                        // Overflow: promote and redo the merge at word level.
+                        None => words = small_words(len as usize + other.len()),
                     }
                 }
-                small_words(l + other.len().min(SMALL_MAX))
+                words + self.promote().union_sorted(raw_ids(other), grown.park())
             }
-            (Repr::Bits(sb), Repr::Small { len, buf }) => {
-                let words = sb.diff_sorted_into(raw_ids(&buf[..*len as usize]), out.park());
-                out.settle();
-                words
-            }
-            (Repr::Bits(sb), Repr::Bits(ob)) => {
-                let words = sb.diff_into(ob, out.park());
-                out.settle();
-                words
-            }
-        }
+            Repr::Bits(ob) => self.promote().union_from(ob, grown.park()),
+        };
+        grown.settle();
+        words
     }
 
-    /// Elements of `self` that are not in `other` (set difference).
-    pub fn difference(&self, other: &PtsSet) -> Vec<NodeId> {
-        self.iter().filter(|&n| !other.contains(n)).collect()
+    /// The inline × inline union: merge into a stack buffer and report the
+    /// new ids inline. `None` (and `self` untouched) when the result would
+    /// not fit inline.
+    fn union_inline(&mut self, other: &[NodeId], grown: &mut PtsDelta) -> Option<u64> {
+        let Repr::Small { len, buf } = &mut self.repr else {
+            unreachable!("inline sets only");
+        };
+        let l = *len as usize;
+        let mut merged = [NodeId(0); SMALL_MAX];
+        let mut new = [NodeId(0); SMALL_MAX];
+        let (mut m, mut k) = (0usize, 0usize);
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < l || j < other.len() {
+            let pick = if j == other.len() || (i < l && buf[i] < other[j]) {
+                i += 1;
+                buf[i - 1]
+            } else {
+                if i < l && buf[i] == other[j] {
+                    i += 1;
+                } else {
+                    new[k] = other[j];
+                    k += 1;
+                }
+                j += 1;
+                other[j - 1]
+            };
+            if m == SMALL_MAX {
+                return None;
+            }
+            merged[m] = pick;
+            m += 1;
+        }
+        *buf = merged;
+        *len = m as u8;
+        grown.park();
+        for &n in &new[..k] {
+            grown.set.push_inline(n);
+        }
+        Some(small_words(l + other.len()))
     }
 
     /// Whether `self` and `other` share an element (word-level when both
@@ -494,10 +427,9 @@ impl PtsSet {
 
     /// Remove all elements, keeping any bitmap allocation.
     ///
-    /// This deliberately does *not* demote: the solver clears and refills
-    /// its propagated-frontier sets every visit, and reusing the warm
-    /// bitmap there is the hot path. Sets that are dead for good should
-    /// use [`PtsSet::release`] instead.
+    /// This deliberately does *not* demote: a scratch set that is cleared
+    /// and refilled over and over keeps its warm bitmap. Sets that are dead
+    /// for good should use [`PtsSet::release`] instead.
     pub fn clear(&mut self) {
         match &mut self.repr {
             Repr::Small { len, .. } => *len = 0,
@@ -533,11 +465,11 @@ fn raw_ids(v: &[NodeId]) -> &[u32] {
     unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u32, v.len()) }
 }
 
-/// Reusable output of [`PtsSet::diff_into`]: the difference as a
-/// [`PtsSet`], plus the bitmap allocation parked while that difference is
-/// inline. The solver computes one delta per worklist pop; parking means
-/// the delta bitmap is allocated once and reused for the whole solve
-/// instead of once per large delta.
+/// Reusable output of [`PtsSet::union_from`]: the ids a union added, as a
+/// [`PtsSet`], plus the bitmap allocation parked while that set is
+/// inline. The solver reports one growth per union and keeps a few of
+/// these warm, so a large growth reuses one bitmap for the whole solve
+/// instead of allocating per union.
 #[derive(Debug, Default)]
 pub struct PtsDelta {
     set: PtsSet,
@@ -550,17 +482,33 @@ impl PtsDelta {
         Self::default()
     }
 
-    /// The current difference.
+    /// The current set.
     pub fn set(&self) -> &PtsSet {
         &self.set
     }
 
+    /// Set the delta to a copy of `src`, reusing the parked bitmap when
+    /// `src` is one.
+    pub(crate) fn copy_from(&mut self, src: &PtsSet) {
+        match &src.repr {
+            Repr::Small { .. } => {
+                self.park();
+                self.set.clone_from(src);
+            }
+            Repr::Bits(b) => {
+                self.park().clone_from(b);
+                self.set.repr = Repr::Bits(std::mem::take(&mut self.spare));
+            }
+        }
+    }
+
     /// Reset the set to empty inline, parking its bitmap (if any) as the
-    /// working bitmap, and return that bitmap.
+    /// working bitmap, and return that bitmap, emptied.
     fn park(&mut self) -> &mut BitBlocks {
         if let Repr::Bits(b) = std::mem::take(&mut self.set).repr {
             self.spare = b;
         }
+        self.spare.clear();
         &mut self.spare
     }
 
@@ -645,30 +593,36 @@ mod tests {
         assert_eq!(s.heap_bytes(), 0, "small sets stay inline");
     }
 
+    /// Union `other` into `s`, returning the grown ids.
+    fn grow(s: &mut PtsSet, other: &PtsSet) -> Vec<NodeId> {
+        let mut grown = PtsDelta::new();
+        s.union_from(other, &mut grown);
+        to_vec(grown.set())
+    }
+
     #[test]
     fn union_reports_exactly_new_elements() {
         let mut a: PtsSet = [n(1), n(3), n(5)].into_iter().collect();
         let b: PtsSet = [n(2), n(3), n(6)].into_iter().collect();
-        let added = a.union_into(&b);
-        assert_eq!(added, vec![n(2), n(6)]);
+        assert_eq!(grow(&mut a, &b), vec![n(2), n(6)]);
         assert_eq!(to_vec(&a), vec![n(1), n(2), n(3), n(5), n(6)]);
         // Second union adds nothing.
-        assert!(a.union_into(&b).is_empty());
+        assert!(grow(&mut a, &b).is_empty());
     }
 
     #[test]
     fn union_with_empty() {
         let mut a: PtsSet = [n(1)].into_iter().collect();
-        assert!(a.union_into(&PtsSet::new()).is_empty());
+        assert!(grow(&mut a, &PtsSet::new()).is_empty());
         let mut e = PtsSet::new();
-        assert_eq!(e.union_into(&a), vec![n(1)]);
+        assert_eq!(grow(&mut e, &a), vec![n(1)]);
     }
 
     #[test]
-    fn difference_and_subset() {
+    fn intersects_and_subset() {
         let a: PtsSet = [n(1), n(2), n(3)].into_iter().collect();
         let b: PtsSet = [n(2)].into_iter().collect();
-        assert_eq!(a.difference(&b), vec![n(1), n(3)]);
+        assert!(a.intersects(&b) && !a.intersects(&[n(4)].into_iter().collect()));
         assert!(b.is_subset(&a));
         assert!(!a.is_subset(&b));
     }
@@ -708,14 +662,17 @@ mod tests {
     }
 
     #[test]
-    fn union_slice_overflow_promotes_and_reports_added_once() {
+    fn inline_overflow_promotes_and_reports_added_once() {
         let mut a: PtsSet = (0..14u32).map(n).collect();
-        let slice: Vec<NodeId> = (10..30u32).map(n).collect();
-        let mut added = Vec::new();
-        a.union_slice_from(&slice, &mut added);
-        assert_eq!(added, (14..30u32).map(n).collect::<Vec<_>>());
-        assert_eq!(a.len(), 30);
-        assert_eq!(to_vec(&a), (0..30u32).map(n).collect::<Vec<_>>());
+        let b: PtsSet = (10..24u32).map(n).collect();
+        assert_eq!(b.heap_bytes(), 0, "both operands inline");
+        let mut grown = PtsDelta::new();
+        a.union_from(&b, &mut grown);
+        assert_eq!(to_vec(grown.set()), (14..24u32).map(n).collect::<Vec<_>>());
+        assert_eq!(grown.set().heap_bytes(), 0, "10 new ids stay inline");
+        assert_eq!(a.len(), 24);
+        assert!(a.heap_bytes() > 0, "promoted");
+        assert_eq!(to_vec(&a), (0..24u32).map(n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -770,38 +727,41 @@ mod tests {
     }
 
     #[test]
-    fn mixed_repr_union_and_diff() {
+    fn mixed_repr_union() {
         let big: PtsSet = (0..40u32).map(n).collect();
         let mut small: PtsSet = [n(1), n(100)].into_iter().collect();
-        let mut added = Vec::new();
-        small.union_from(&big, &mut added);
-        assert_eq!(added.len(), 39);
-        assert!(added.windows(2).all(|w| w[0] < w[1]));
+        let mut grown = PtsDelta::new();
+        small.union_from(&big, &mut grown);
+        assert_eq!(grown.set().len(), 39);
+        assert!(!grown.set().contains(n(1)) && grown.set().contains(n(39)));
         assert_eq!(small.len(), 41);
-        let mut out = PtsDelta::new();
-        small.diff_into(&big, &mut out);
-        assert_eq!(to_vec(out.set()), vec![n(100)]);
+        // Inline source into a bitmap destination.
+        let few: PtsSet = [n(5), n(200)].into_iter().collect();
+        small.union_from(&few, &mut grown);
+        assert_eq!(to_vec(grown.set()), vec![n(200)]);
     }
 
     #[test]
-    fn delta_is_inline_iff_small_and_reuses_its_bitmap() {
+    fn growth_is_inline_iff_small_and_reuses_its_bitmap() {
         let big: PtsSet = (0..100u32).map(n).collect();
-        let mut out = PtsDelta::new();
-        // Against an empty inline `prop`: a straight word copy.
-        big.diff_into(&PtsSet::new(), &mut out);
-        assert_eq!(out.set(), &big);
-        assert!(out.set().heap_bytes() > 0);
-        // Bitmap minus bitmap leaving SMALL_MAX ids: inline again.
-        let most: PtsSet = (0..100 - SMALL_MAX as u32).map(n).collect();
-        big.diff_into(&most, &mut out);
-        assert_eq!(out.set().len(), SMALL_MAX);
-        assert_eq!(out.set().heap_bytes(), 0);
-        assert!(out.spare.heap_bytes() > 0, "bitmap parked, not freed");
-        // Bitmap minus an inline set: a word copy minus its bits.
-        let few: PtsSet = [n(3), n(64), n(99)].into_iter().collect();
-        big.diff_into(&few, &mut out);
-        assert_eq!(out.set().len(), 97);
-        assert!(!out.set().contains(n(64)) && out.set().contains(n(65)));
+        let mut grown = PtsDelta::new();
+        // Into an empty set: everything is new, held as a bitmap.
+        let mut a = PtsSet::new();
+        a.union_from(&big, &mut grown);
+        assert_eq!(grown.set(), &big);
+        assert!(grown.set().heap_bytes() > 0);
+        // Exactly SMALL_MAX new ids: inline again, the bitmap parked.
+        let mut most: PtsSet = (0..100 - SMALL_MAX as u32).map(n).collect();
+        most.union_from(&big, &mut grown);
+        assert_eq!(grown.set().len(), SMALL_MAX);
+        assert_eq!(grown.set().heap_bytes(), 0);
+        assert!(grown.spare.heap_bytes() > 0, "bitmap parked, not freed");
+        // A copy reuses the parked bitmap and holds the set as given.
+        grown.copy_from(&big);
+        assert_eq!(grown.set(), &big);
+        grown.copy_from(&[n(7)].into_iter().collect());
+        assert_eq!(to_vec(grown.set()), vec![n(7)]);
+        assert!(grown.spare.heap_bytes() > 0);
     }
 
     #[test]

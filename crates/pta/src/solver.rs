@@ -43,9 +43,9 @@ use crate::scc;
 pub struct SolveBudget {
     /// Maximum worklist pops before the solve aborts.
     pub max_iterations: usize,
-    /// Maximum live heap bytes held by the points-to + propagated-frontier
-    /// sets (checked at propagation-round boundaries and periodically
-    /// inside a drain).
+    /// Maximum live heap bytes held by the points-to sets and the pending
+    /// frontier sets (checked at propagation-round boundaries and
+    /// periodically inside a drain).
     pub max_pts_bytes: usize,
     /// Wall-clock deadline measured from solve start. Unlike the two
     /// deterministic limits above, tripping this depends on the machine;
@@ -251,14 +251,17 @@ pub struct SolveStats {
     pub collapsed_cycles: usize,
     /// Objects turned field-insensitive.
     pub collapsed_objects: usize,
-    /// 64-bit bitmap words actually touched by set union/difference
-    /// operations: source words read plus destination words written or
-    /// shifted by a union, source words scanned by a difference (inline
-    /// merges count one word per two u32 slots). Deterministic proxy for
-    /// propagation cost, unlike wall-clock.
+    /// 64-bit bitmap words actually touched by set unions: source words
+    /// read plus destination words written or shifted, for every union
+    /// the solver runs — into points-to sets, into pending frontiers, and
+    /// into a cycle merge's combined growth report (inline merges count
+    /// one word per two u32 slots). No set difference is ever computed,
+    /// so nothing else is counted. Deterministic proxy for propagation
+    /// cost, unlike wall-clock.
     pub union_words: u64,
-    /// Peak heap bytes held by the points-to and propagated-frontier sets,
-    /// sampled at each propagation-round boundary.
+    /// Peak heap bytes held by the points-to sets plus the pending
+    /// frontier sets (`Pending::Part`), sampled at each propagation-round
+    /// boundary and every 65536 pops.
     pub peak_pts_bytes: usize,
     /// Incremental re-solve only: previous-fixpoint nodes translated and
     /// reused as the warm-start state (zero for from-scratch solves).
@@ -316,20 +319,58 @@ impl SolveResult {
     }
 }
 
+/// What a node still has to propagate: the part of its points-to set that
+/// grew since it was last popped. `pending[n]` replaces a second full copy
+/// of every set (the set as of the last pop) — the delta is kept directly,
+/// and only while it is a strict part of the set.
+#[derive(Debug, Default)]
+pub(crate) enum Pending {
+    /// Nothing new since the last pop.
+    #[default]
+    Clean,
+    /// The whole set `pts[n]` (after a merge, canonicalization, or an
+    /// incremental seed, or when the set grew from empty).
+    Full,
+    /// Exactly these ids, a non-empty strict subset of `pts[n]`.
+    Part(PtsSet),
+}
+
+/// The delta of one pop, owned for the duration of the pop.
+enum Frontier {
+    /// A `Pending::Part` set, taken out of `pending`.
+    Part(PtsSet),
+    /// A copy of `pts[n]` in the scratch delta: complex constraints may
+    /// grow `pts[n]` while the delta is in use.
+    Copy(PtsDelta),
+    /// `pts[n]` itself, moved out for the copy loop (nothing there writes
+    /// `pts[n]`: the loop skips self-edges).
+    Moved(PtsSet),
+}
+
+impl Frontier {
+    fn set(&self) -> &PtsSet {
+        match self {
+            Frontier::Part(s) | Frontier::Moved(s) => s,
+            Frontier::Copy(d) => d.set(),
+        }
+    }
+}
+
 /// Reusable scratch buffers for the propagation loop. Each worklist pop
-/// borrows these via `mem::take`/restore instead of allocating: the delta
-/// bitmap, its decoded ids (only for nodes with complex constraints), the
-/// per-union added-elements buffer, and copies of the popped node's
-/// constraint lists (copies are still required for correctness — a merge
-/// triggered mid-pop moves the solver's own per-node lists — but they now
-/// reuse one allocation across all pops).
+/// borrows these via `mem::take`/restore instead of allocating: the copy
+/// of a `Full` delta, its decoded ids (only for nodes with complex
+/// constraints), the per-union growth, the growth of a pending frontier
+/// and of a cycle merge, and copies of the popped node's constraint lists
+/// (copies are still required for correctness — a merge triggered mid-pop
+/// moves the solver's own per-node lists — but they reuse one allocation
+/// across all pops).
 #[derive(Debug, Default)]
 struct Scratch {
     delta: PtsDelta,
     delta_ids: Vec<NodeId>,
-    added: Vec<NodeId>,
-    copy_added: Vec<NodeId>,
-    merge_added: Vec<NodeId>,
+    grown: PtsDelta,
+    pending_grown: PtsDelta,
+    merge_grown: PtsSet,
     loads: Vec<(NodeId, u32)>,
     stores: Vec<(NodeId, u32)>,
     fields: Vec<(NodeId, usize, u32)>,
@@ -368,7 +409,7 @@ pub struct Solver<'m> {
     pub(crate) gen_node_len: usize,
 
     pub(crate) pts: Vec<PtsSet>,
-    pub(crate) prop: Vec<PtsSet>,
+    pub(crate) pending: Vec<Pending>,
     pub(crate) copy_out: Vec<Vec<NodeId>>,
     pub(crate) copy_set: HashSet<(u32, u32)>,
     pub(crate) loads: Vec<Vec<(NodeId, u32)>>,
@@ -423,7 +464,7 @@ impl<'m> Solver<'m> {
             icalls,
             gen_node_len,
             pts: Vec::new(),
-            prop: Vec::new(),
+            pending: Vec::new(),
             copy_out: Vec::new(),
             copy_set: HashSet::new(),
             loads: Vec::new(),
@@ -459,7 +500,7 @@ impl<'m> Solver<'m> {
             return;
         }
         self.pts.resize_with(n, PtsSet::new);
-        self.prop.resize_with(n, PtsSet::new);
+        self.pending.resize_with(n, Pending::default);
         self.copy_out.resize_with(n, Vec::new);
         self.loads.resize_with(n, Vec::new);
         self.stores.resize_with(n, Vec::new);
@@ -588,13 +629,15 @@ impl<'m> Solver<'m> {
         }
     }
 
-    /// Live heap bytes held by the points-to + propagated-frontier sets.
+    /// Live heap bytes held by the points-to sets and the pending
+    /// frontier sets.
     fn live_pts_bytes(&self) -> usize {
-        self.pts
-            .iter()
-            .chain(self.prop.iter())
-            .map(|s| s.heap_bytes())
-            .sum()
+        let part = |p: &Pending| match p {
+            Pending::Part(s) => s.heap_bytes(),
+            Pending::Clean | Pending::Full => 0,
+        };
+        self.pts.iter().map(PtsSet::heap_bytes).sum::<usize>()
+            + self.pending.iter().map(part).sum::<usize>()
     }
 
     /// A budget error carrying the current counter snapshot.
@@ -616,10 +659,7 @@ impl<'m> Solver<'m> {
                 ConstraintKind::AddrOf { dst, obj } => {
                     let root = self.nodes.obj_root(obj);
                     let dst = self.nodes.find(dst);
-                    if self.pts[dst.index()].insert(root) {
-                        obs.pts_grew(&self.nodes, dst, &[root]);
-                        self.push(dst);
-                    }
+                    self.insert_pts(dst, root, obs);
                 }
                 ConstraintKind::Copy { dst, src } => {
                     self.add_copy(src, dst, CopyProvenance::Primitive(c.origin), obs);
@@ -686,15 +726,44 @@ impl<'m> Solver<'m> {
         obs.derived_copy(&self.nodes, from, to, &why);
         // Propagate the full current set across the new edge, in place:
         // disjoint borrows of the two slots, no clone of the source set.
-        let mut added = std::mem::take(&mut self.scratch.copy_added);
-        added.clear();
+        let mut grown = std::mem::take(&mut self.scratch.grown);
         let (src, dst) = two_mut(&mut self.pts, from.index(), to.index());
-        self.stats.union_words += dst.union_from(src, &mut added);
-        if !added.is_empty() {
-            obs.pts_grew(&self.nodes, to, &added);
-            self.push(to);
+        self.stats.union_words += dst.union_from(src, &mut grown);
+        self.grew(to, grown.set(), obs);
+        self.scratch.grown = grown;
+    }
+
+    /// Insert one id into `pts[dst]` (`dst` already resolved by the
+    /// caller), reporting the growth if it was new.
+    pub(crate) fn insert_pts(&mut self, dst: NodeId, id: NodeId, obs: &mut dyn SolverObserver) {
+        if self.pts[dst.index()].insert(id) {
+            let mut one = PtsSet::new();
+            one.insert(id);
+            self.grew(dst, &one, obs);
         }
-        self.scratch.copy_added = added;
+    }
+
+    /// Every growth of a points-to set ends here: `pts[n]` just gained
+    /// exactly `grown` (a no-op when empty). Tell the observer, extend
+    /// `n`'s pending frontier, and queue `n`.
+    fn grew(&mut self, n: NodeId, grown: &PtsSet, obs: &mut dyn SolverObserver) {
+        if grown.is_empty() {
+            return;
+        }
+        obs.pts_grew(&self.nodes, n, grown);
+        let i = n.index();
+        let total = self.pts[i].len();
+        match &mut self.pending[i] {
+            Pending::Full => {}
+            // The set grew from empty: the delta is all of it.
+            Pending::Clean if grown.len() == total => self.pending[i] = Pending::Full,
+            Pending::Clean => self.pending[i] = Pending::Part(grown.clone()),
+            // Stays a strict subset: `grown` is new to the set and to `p`.
+            Pending::Part(p) => {
+                self.stats.union_words += p.union_from(grown, &mut self.scratch.pending_grown);
+            }
+        }
+        self.push(n);
     }
 
     fn drain_worklist(&mut self, obs: &mut dyn SolverObserver) -> Result<(), SolveError> {
@@ -726,26 +795,30 @@ impl<'m> Solver<'m> {
                     return Err(self.budget_error(BudgetKind::PtsBytes));
                 }
             }
-            // O(1) early exit. `prop[n] ⊆ pts[n]` is an invariant (pts only
-            // grows during a drain; merges and canonicalization clear prop),
-            // so equal cardinality means the delta is empty — no set walk,
-            // no allocation.
-            if self.pts[n.index()].len() == self.prop[n.index()].len() {
-                continue;
-            }
-            let mut delta = std::mem::take(&mut self.scratch.delta);
-            self.stats.union_words +=
-                self.pts[n.index()].diff_into(&self.prop[n.index()], &mut delta);
-            debug_assert!(!delta.set().is_empty(), "prop ⊆ pts violated");
-            // Refresh the propagated frontier in place (reuses the bitmap
-            // allocation instead of cloning a fresh set).
-            self.prop[n.index()].clone_from(&self.pts[n.index()]);
+            let i = n.index();
+            let frontier = match std::mem::take(&mut self.pending[i]) {
+                Pending::Clean => continue,
+                Pending::Full if self.pts[i].is_empty() => continue,
+                Pending::Part(p) => {
+                    debug_assert!(
+                        p.is_subset(&self.pts[i]) && p.len() < self.pts[i].len(),
+                        "pending frontier of {n:?} is not a strict subset of its set"
+                    );
+                    Frontier::Part(p)
+                }
+                Pending::Full if self.has_complex(n) => {
+                    let mut copy = std::mem::take(&mut self.scratch.delta);
+                    copy.copy_from(&self.pts[i]);
+                    Frontier::Copy(copy)
+                }
+                Pending::Full => Frontier::Moved(std::mem::take(&mut self.pts[i])),
+            };
 
             // Only complex constraints consume the delta id by id.
             if self.has_complex(n) {
                 let mut ids = std::mem::take(&mut self.scratch.delta_ids);
                 ids.clear();
-                ids.extend(delta.set().iter());
+                ids.extend(frontier.set().iter());
                 self.apply_complex(n, &ids, obs);
                 self.scratch.delta_ids = ids;
             }
@@ -755,30 +828,30 @@ impl<'m> Solver<'m> {
             // when one of them was merged away (object collapse or an
             // earlier cycle merge), which the merged-id bitmap answers at
             // word level.
+            let delta = frontier.set();
             let canon: Option<PtsSet> = delta
-                .set()
                 .intersects(self.nodes.merged())
-                .then(|| delta.set().iter().map(|o| self.nodes.find(o)).collect());
-            let src = canon.as_ref().unwrap_or(delta.set());
+                .then(|| delta.iter().map(|o| self.nodes.find(o)).collect());
+            let src = canon.as_ref().unwrap_or(delta);
             let mut outs = std::mem::take(&mut self.scratch.outs);
             outs.clear();
-            outs.extend_from_slice(&self.copy_out[n.index()]);
-            let mut added = std::mem::take(&mut self.scratch.added);
+            outs.extend_from_slice(&self.copy_out[i]);
+            let mut grown = std::mem::take(&mut self.scratch.grown);
             for &to in &outs {
                 let to = self.nodes.find(to);
                 if to == n {
                     continue;
                 }
-                added.clear();
-                self.stats.union_words += self.pts[to.index()].union_from(src, &mut added);
-                if !added.is_empty() {
-                    obs.pts_grew(&self.nodes, to, &added);
-                    self.push(to);
-                }
+                self.stats.union_words += self.pts[to.index()].union_from(src, &mut grown);
+                self.grew(to, grown.set(), obs);
             }
 
-            self.scratch.delta = delta;
-            self.scratch.added = added;
+            match frontier {
+                Frontier::Part(_) => {}
+                Frontier::Copy(copy) => self.scratch.delta = copy,
+                Frontier::Moved(set) => self.pts[i] = set,
+            }
+            self.scratch.grown = grown;
             self.scratch.outs = outs;
         }
         Ok(())
@@ -857,10 +930,7 @@ impl<'m> Solver<'m> {
             }
             for &(dst, _cid) in &elems {
                 let dst = self.nodes.find(dst);
-                if self.pts[dst.index()].insert(on) {
-                    obs.pts_grew(&self.nodes, dst, &[on]);
-                    self.push(dst);
-                }
+                self.insert_pts(dst, on, obs);
             }
             for &ic in &icalls {
                 self.process_icall_target(ic as usize, on, obs);
@@ -909,10 +979,7 @@ impl<'m> Solver<'m> {
             }
         };
         let dst = self.nodes.find(dst);
-        if self.pts[dst.index()].insert(target) {
-            obs.pts_grew(&self.nodes, dst, &[target]);
-            self.push(dst);
-        }
+        self.insert_pts(dst, target, obs);
     }
 
     fn process_arith(
@@ -938,20 +1005,14 @@ impl<'m> Solver<'m> {
                 // Baseline: the whole object loses field sensitivity.
                 self.collapse_object(obj, CollapseReason::PtrArith(loc), obs);
                 let root = self.nodes.find(self.nodes.obj_root(obj));
-                if self.pts[dst.index()].insert(root) {
-                    obs.pts_grew(&self.nodes, dst, &[root]);
-                    self.push(dst);
-                }
+                self.insert_pts(dst, root, obs);
                 return;
             }
         }
         // Arrays (element traversal — explicitly exempted by the paper's
         // invariant), scalars, and untyped heap objects: flows through.
         let on = self.nodes.find(obj_node);
-        if self.pts[dst.index()].insert(on) {
-            obs.pts_grew(&self.nodes, dst, &[on]);
-            self.push(dst);
-        }
+        self.insert_pts(dst, on, obs);
     }
 
     fn process_icall_target(&mut self, ic: usize, obj_node: NodeId, obs: &mut dyn SolverObserver) {
@@ -1054,19 +1115,23 @@ impl<'m> Solver<'m> {
         // Phase 2: move points-to sets and constraint lists straight into
         // the final representative — one union per loser, no cascade.
         let w = rep.index();
-        let mut added = std::mem::take(&mut self.scratch.merge_added);
-        added.clear();
+        let mut grown = std::mem::take(&mut self.scratch.grown);
+        // The observer sees the cycle's whole growth as one event.
+        let mut merged = std::mem::take(&mut self.scratch.merge_grown);
+        merged.clear();
         for &loser in &losers {
             let l = loser.index();
             debug_assert_ne!(l, w);
             let (loser_pts, winner_pts) = two_mut(&mut self.pts, l, w);
-            self.stats.union_words += winner_pts.union_from(loser_pts, &mut added);
+            self.stats.union_words += winner_pts.union_from(loser_pts, &mut grown);
             // The loser's slots are dead for the rest of the solve:
             // release their bitmap allocations instead of keeping them
             // warm, so merged-away cycles stop counting toward
             // `peak_pts_bytes`.
             loser_pts.release();
-            self.prop[l].release();
+            self.pending[l] = Pending::Clean;
+            self.stats.union_words +=
+                merged.union_from(grown.set(), &mut self.scratch.pending_grown);
             let moved = std::mem::take(&mut self.copy_out[l]);
             self.copy_out[w].extend(moved);
             let moved = std::mem::take(&mut self.loads[l]);
@@ -1082,11 +1147,10 @@ impl<'m> Solver<'m> {
             let moved = std::mem::take(&mut self.icalls_by_fnptr[l]);
             self.icalls_by_fnptr[w].extend(moved);
         }
-        if !added.is_empty() {
-            obs.pts_grew(&self.nodes, rep, &added);
-        }
-        self.scratch.merge_added = added;
-        self.prop[w].clear();
+        self.pending[w] = Pending::Full;
+        self.grew(rep, &merged, obs);
+        self.scratch.merge_grown = merged;
+        self.scratch.grown = grown;
         self.push(rep);
     }
 
@@ -1096,19 +1160,16 @@ impl<'m> Solver<'m> {
             return;
         };
         let (w, l) = (winner.index(), loser.index());
-        let mut added = std::mem::take(&mut self.scratch.merge_added);
-        added.clear();
+        let mut grown = std::mem::take(&mut self.scratch.grown);
         let (loser_pts, winner_pts) = two_mut(&mut self.pts, l, w);
-        self.stats.union_words += winner_pts.union_from(loser_pts, &mut added);
+        self.stats.union_words += winner_pts.union_from(loser_pts, &mut grown);
         // Dead for the rest of the solve — drop the allocation, not just
         // the contents (see `merge_cycle_members`).
         loser_pts.release();
-        if !added.is_empty() {
-            obs.pts_grew(&self.nodes, winner, &added);
-        }
-        self.scratch.merge_added = added;
-        self.prop[w].clear();
-        self.prop[l].release();
+        self.pending[w] = Pending::Full;
+        self.pending[l] = Pending::Clean;
+        self.grew(winner, grown.set(), obs);
+        self.scratch.grown = grown;
         let moved = std::mem::take(&mut self.copy_out[l]);
         self.copy_out[w].extend(moved);
         let moved = std::mem::take(&mut self.loads[l]);
@@ -1320,11 +1381,11 @@ impl<'m> Solver<'m> {
                 let remapped: Vec<NodeId> =
                     self.pts[i].iter().map(|m| self.nodes.find_ref(m)).collect();
                 self.pts[i] = PtsSet::from_iter_unsorted(remapped);
-                self.prop[i].clear();
+                self.pending[i] = Pending::Full;
                 self.push(id);
             }
             if self.has_complex(id) {
-                self.prop[i].clear();
+                self.pending[i] = Pending::Full;
                 self.push(id);
             }
         }

@@ -1,8 +1,9 @@
 //! Model-based property tests: `PtsSet` must behave exactly like a
-//! `BTreeSet<u32>` under arbitrary operation sequences, `union_into` must
-//! report exactly the new elements, and the word-level delta operations
-//! (`diff_into`, `intersects`, structural `union_from`) must agree with
-//! the model for every pair of representations.
+//! `BTreeSet<u32>` under arbitrary operation sequences, `union_from` must
+//! report exactly the new elements (inline iff there are at most
+//! `SMALL_MAX` of them), and the word-level operations (`union_from`,
+//! `intersects`) must agree with the model for every pair of
+//! representations.
 //!
 //! Driven by the in-repo [`kaleidoscope_prng::check`] harness (the sandbox
 //! has no registry access for proptest); failing cases print their seed.
@@ -53,14 +54,14 @@ fn pts_set_matches_btreeset_model() {
                 }
                 Op::UnionWith(vs) => {
                     let other: PtsSet = vs.iter().map(|&v| NodeId(v)).collect();
-                    let added = sut.union_into(&other);
+                    let mut grown = PtsDelta::new();
+                    sut.union_from(&other, &mut grown);
                     // Model: exactly the values not already present, sorted.
                     let mut expect: Vec<u32> =
                         vs.iter().copied().filter(|v| !model.contains(v)).collect();
                     expect.sort_unstable();
                     expect.dedup();
-                    let got: Vec<u32> = added.iter().map(|n| n.0).collect();
-                    assert_eq!(got, expect, "union_into delta");
+                    assert_eq!(items(grown.set()), expect, "union_from growth");
                     model.extend(vs);
                 }
                 Op::RetainEven => {
@@ -84,11 +85,12 @@ fn pts_set_matches_btreeset_model() {
 /// Same model check, but with value ranges and growth rates chosen to cross
 /// the inline→bitmap promotion boundary (~16 elements) and spread ids over
 /// many 64-bit words, so the sparse-bitmap paths (in-place OR, structural
-/// merge, word-level difference) all get exercised.
+/// merge, word-level growth reports) all get exercised.
 #[test]
 fn hybrid_promotion_matches_btreeset_model() {
     check(256, 0xb175, |rng| {
         let mut sut = PtsSet::new();
+        let mut grown = PtsDelta::new();
         let mut model: BTreeSet<u32> = BTreeSet::new();
         let n_ops = rng.gen_range(0..40usize);
         for _ in 0..n_ops {
@@ -98,34 +100,28 @@ fn hybrid_promotion_matches_btreeset_model() {
                     let n = rng.gen_range(0..40usize);
                     let vs: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2048u32)).collect();
                     let other: PtsSet = vs.iter().map(|&v| NodeId(v)).collect();
-                    let mut added = Vec::new();
-                    sut.union_from(&other, &mut added);
+                    sut.union_from(&other, &mut grown);
                     let mut expect: Vec<u32> =
                         vs.iter().copied().filter(|v| !model.contains(v)).collect();
                     expect.sort_unstable();
                     expect.dedup();
-                    assert_eq!(
-                        added.iter().map(|n| n.0).collect::<Vec<_>>(),
-                        expect,
-                        "union_from delta"
-                    );
+                    assert_eq!(items(grown.set()), expect, "union_from growth");
                     model.extend(vs);
                 }
-                // Sorted-slice union (the solver's copy-propagation path).
+                // Inline-source union (a small delta along a copy edge).
                 2 => {
-                    let n = rng.gen_range(0..25usize);
-                    let mut vs: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2048u32)).collect();
-                    vs.sort_unstable();
-                    vs.dedup();
-                    let slice: Vec<NodeId> = vs.iter().map(|&v| NodeId(v)).collect();
-                    let mut added = Vec::new();
-                    sut.union_slice_from(&slice, &mut added);
-                    let expect: Vec<u32> =
+                    let n = rng.gen_range(0..=SMALL_MAX);
+                    let vs: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2048u32)).collect();
+                    let other: PtsSet = vs.iter().map(|&v| NodeId(v)).collect();
+                    assert_eq!(other.heap_bytes(), 0);
+                    sut.union_from(&other, &mut grown);
+                    let expect: BTreeSet<u32> =
                         vs.iter().copied().filter(|v| !model.contains(v)).collect();
+                    assert_eq!(grown.set().heap_bytes(), 0, "inline source, inline growth");
                     assert_eq!(
-                        added.iter().map(|n| n.0).collect::<Vec<_>>(),
-                        expect,
-                        "union_slice_from delta"
+                        items(grown.set()),
+                        expect.into_iter().collect::<Vec<_>>(),
+                        "inline union growth"
                     );
                     model.extend(vs);
                 }
@@ -143,16 +139,12 @@ fn hybrid_promotion_matches_btreeset_model() {
             let model_items: Vec<u32> = model.iter().copied().collect();
             assert_eq!(sut_items, model_items, "sorted content after op");
         }
-        // diff_into against a random second set matches the model difference.
+        // Subset against a random second set agrees with the model.
         let vs: Vec<u32> = (0..rng.gen_range(0..50usize))
             .map(|_| rng.gen_range(0..2048u32))
             .collect();
         let other: PtsSet = vs.iter().map(|&v| NodeId(v)).collect();
         let other_model: BTreeSet<u32> = vs.into_iter().collect();
-        let mut out = PtsDelta::new();
-        sut.diff_into(&other, &mut out);
-        let expect: Vec<u32> = model.difference(&other_model).copied().collect();
-        assert_eq!(out.set().iter().map(|n| n.0).collect::<Vec<_>>(), expect);
         assert_eq!(
             sut.is_subset(&other),
             model.is_subset(&other_model),
@@ -240,17 +232,18 @@ fn union_is_idempotent_and_monotone() {
         let sa: PtsSet = a.iter().map(|&v| NodeId(v)).collect();
         let sb: PtsSet = b.iter().map(|&v| NodeId(v)).collect();
         let mut u = sa.clone();
-        u.union_into(&sb);
+        let mut grown = PtsDelta::new();
+        u.union_from(&sb, &mut grown);
         assert!(sa.is_subset(&u));
         assert!(sb.is_subset(&u));
+        // The growth is disjoint from what `u` held before.
+        assert!(!grown.set().intersects(&sa) && grown.set().is_subset(&sb));
         // Second union adds nothing.
         let mut u2 = u.clone();
-        assert!(u2.union_into(&sb).is_empty());
-        assert!(u2.union_into(&sa).is_empty());
-        // Difference + subset coherence.
-        for n in sa.difference(&sb) {
-            assert!(sa.contains(n) && !sb.contains(n));
-        }
+        u2.union_from(&sb, &mut grown);
+        assert!(grown.set().is_empty());
+        u2.union_from(&sa, &mut grown);
+        assert!(grown.set().is_empty());
     });
 }
 
@@ -294,8 +287,8 @@ fn random_set(rng: &mut Rng, bitmap_odds: f64) -> (PtsSet, BTreeSet<u32>) {
     (set, model)
 }
 
-/// The second operand of a delta: empty, inline, bitmap, or a random
-/// subset of `of` (the solver's `prop ⊆ pts` case).
+/// The second operand of a binary operation: empty, inline, bitmap, or a
+/// random subset of `of`.
 fn random_other(rng: &mut Rng, of: &BTreeSet<u32>) -> (PtsSet, BTreeSet<u32>) {
     match rng.gen_range(0..4u32) {
         0 => (PtsSet::new(), BTreeSet::new()),
@@ -314,24 +307,33 @@ fn random_other(rng: &mut Rng, of: &BTreeSet<u32>) -> (PtsSet, BTreeSet<u32>) {
 }
 
 #[test]
-fn delta_matches_model_for_every_representation_pair() {
+fn union_growth_matches_model_for_every_representation_pair() {
     check(256, 0xd317, |rng| {
-        // One buffer across several deltas, as in the solver, so the
+        // One growth buffer across every union, as in the solver, so the
         // parked bitmap is reused between inline and bitmap results.
-        let mut out = PtsDelta::new();
-        for _ in 0..6 {
-            let (a, am) = random_set(rng, 0.5);
-            let (b, bm) = random_other(rng, &am);
-            a.diff_into(&b, &mut out);
-            let expect: Vec<u32> = am.difference(&bm).copied().collect();
-            assert_eq!(items(out.set()), expect, "delta content");
-            assert_eq!(out.set().len(), expect.len(), "delta len");
+        let mut grown = PtsDelta::new();
+        // Destination × source: inline × inline, inline × bitmap,
+        // bitmap × inline, bitmap × bitmap. Bitmap sets may carry zero
+        // words left by `remove`.
+        for (dst_odds, src_odds) in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] {
+            let (mut a, mut am) = random_set(rng, dst_odds);
+            let (b, bm) = if rng.gen_bool(0.25) {
+                random_other(rng, &am)
+            } else {
+                random_set(rng, src_odds)
+            };
+            a.union_from(&b, &mut grown);
+            let expect: Vec<u32> = bm.difference(&am).copied().collect();
+            assert_eq!(items(grown.set()), expect, "growth is exactly the new ids");
+            assert_eq!(grown.set().len(), expect.len(), "growth len");
             assert_eq!(
-                out.set().heap_bytes() == 0,
+                grown.set().heap_bytes() == 0,
                 expect.len() <= SMALL_MAX,
-                "delta is inline iff it has at most SMALL_MAX ids ({})",
+                "growth is inline iff it has at most SMALL_MAX ids ({})",
                 expect.len()
             );
+            am.extend(bm);
+            assert_eq!(items(&a), am.iter().copied().collect::<Vec<_>>());
         }
     });
 }
@@ -355,19 +357,20 @@ fn structural_union_reports_exactly_the_new_ids() {
             // Sparse ids over a wide range, so most source words are
             // missing from the destination skeleton and the merge grows it.
             let (b, bm) = random_set(rng, 0.7);
-            let mut added = Vec::new();
-            a.union_from(&b, &mut added);
+            let mut grown = PtsDelta::new();
+            a.union_from(&b, &mut grown);
             let expect: Vec<u32> = bm.difference(&am).copied().collect();
             assert_eq!(
-                added.iter().map(|n| n.0).collect::<Vec<_>>(),
+                items(grown.set()),
                 expect,
-                "added is exactly the new ids, ascending"
+                "growth is exactly the new ids, ascending"
             );
             am.extend(bm);
             assert_eq!(a.len(), am.len(), "len after union");
             assert_eq!(items(&a), am.iter().copied().collect::<Vec<_>>());
             // Idempotent, and the source is now a subset.
-            assert!(a.union_into(&b).is_empty());
+            a.union_from(&b, &mut grown);
+            assert!(grown.set().is_empty());
             assert!(b.is_subset(&a));
         }
     });

@@ -2,8 +2,9 @@
 # Guard the committed BENCH_*.json baselines: compare the median_ms of
 # every case in a freshly regenerated bench file against the same label in
 # the committed baseline, and flag cases that got slower by more than the
-# tolerance. Used by the `bench-guard` CI job (non-blocking, diff uploaded
-# as an artifact); runnable locally after a bench run:
+# tolerance. Used by the `bench-guard` CI job (a blocking counter step run
+# with BENCH_GUARD_WARN_ONLY=1, then an advisory median step; the diffs are
+# uploaded as an artifact); runnable locally after a bench run:
 #
 #   cargo bench -p kaleidoscope-bench --bench solver
 #   scripts/bench_guard.sh BENCH_solver.json
@@ -17,9 +18,9 @@
 #                          else 0)
 #
 # Deterministic counters: samples that carry the solver's cost counters
-# (`pops`, `union_words`, `alloc_bytes`, `peak_pts_bytes` in
-# BENCH_solver.json) are also gated per sample on those: any change in
-# `pops` or any rise in the other three fails the guard. These counters
+# (`pops`, `union_words`, `alloc_bytes`, `alloc_calls`, `peak_pts_bytes`
+# in BENCH_solver.json) are also gated per sample on those: any change in
+# `pops` or any rise in the other four fails the guard. These counters
 # do not depend on the host, so warn-only mode (and its 1-CPU default)
 # never excuses them — only the wall-clock medians get the tolerance.
 #
@@ -61,7 +62,8 @@ counters() {
     sed -n '/"counters"/,/}/s/^ *"\([a-z_]*\)": \([0-9]*\),\{0,1\}$/\1 \2/p'
 }
 
-# One "label pops union_words alloc_bytes peak_pts_bytes" line per sample
+# One "label pops union_words alloc_bytes alloc_calls peak_pts_bytes" line
+# per sample
 # that carries at least one of the deterministic counters; `-` marks a
 # counter the sample lacks.
 det_counters() {
@@ -70,7 +72,7 @@ det_counters() {
             match($0, /"label": "[^"]*"/)
             line = substr($0, RSTART + 10, RLENGTH - 11)
             found = 0
-            n = split("pops union_words alloc_bytes peak_pts_bytes", keys, " ")
+            n = split("pops union_words alloc_bytes alloc_calls peak_pts_bytes", keys, " ")
             for (i = 1; i <= n; i++) {
                 if (match($0, "\"" keys[i] "\": [0-9]+")) {
                     v = substr($0, RSTART, RLENGTH)
@@ -133,10 +135,10 @@ for f in "$@"; do
     ' <(git show "$REF:$f" | counters) <(counters <"$f") | tee -a "$OUT"
     # Deterministic cost counters (gating, never warn-only).
     if ! awk '
-        BEGIN { split("pops union_words alloc_bytes peak_pts_bytes", names, " ") }
-        NR == FNR { for (i = 2; i <= 5; i++) base[$1, i] = $i; known[$1] = 1; next }
+        BEGIN { n = split("pops union_words alloc_bytes alloc_calls peak_pts_bytes", names, " ") }
+        NR == FNR { for (i = 2; i <= n + 1; i++) base[$1, i] = $i; known[$1] = 1; next }
         ($1 in known) {
-            for (i = 2; i <= 5; i++) {
+            for (i = 2; i <= n + 1; i++) {
                 b = base[$1, i]
                 c = $i
                 if (b == "-" || c == "-") continue
@@ -153,7 +155,7 @@ for f in "$@"; do
 done
 
 if [[ "$counter_status" -ne 0 ]]; then
-    echo "bench_guard: deterministic counters regressed (pops changed, or union_words/alloc_bytes/peak_pts_bytes rose) — see $OUT" >&2
+    echo "bench_guard: deterministic counters regressed (pops changed, or union_words/alloc_bytes/alloc_calls/peak_pts_bytes rose) — see $OUT" >&2
     exit 1
 fi
 
