@@ -16,7 +16,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kaleidoscope_bench::timing::{bench, Sample};
-use kaleidoscope_pta::{steensgaard, Analysis, NullObserver, SolveOptions, SolveStats};
+use kaleidoscope_pta::{
+    steensgaard, Analysis, NullObserver, PrevRevision, SolveInput, SolveOptions, SolveStats,
+};
 
 /// System allocator wrapped with monotonic allocation counters, so a bench
 /// case can report "bytes allocated per solve" — a direct, variance-free
@@ -172,9 +174,24 @@ fn main() {
         let opts = SolveOptions::baseline();
         let mut edited = scale.clone();
         kaleidoscope_fuzz::edit::append_function(&mut edited, 0xca1e, 0);
-        let (_, prev_state) = Analysis::try_run_captured(&scale, &opts, None, &mut NullObserver)
-            .expect("unbudgeted solve");
+        let capture = SolveInput {
+            capture: true,
+            ..SolveInput::default()
+        };
+        let (_, prev_state) =
+            Analysis::solve(&scale, &opts, capture, &mut NullObserver).expect("unbudgeted solve");
         let prev_state = prev_state.expect("converged solve captures a snapshot");
+        // A watch edit warm-starts from the snapshot and re-captures, as
+        // the executor does with a state store attached.
+        let warm = SolveInput {
+            prev: Some(PrevRevision {
+                module: &scale,
+                plan: None,
+                blocks: None,
+                state: &prev_state,
+            }),
+            ..capture
+        };
 
         let sample = bench("solver/incr/andersen-100k/cold", scale_iters, || {
             let _ = Analysis::run(&edited, &opts);
@@ -187,28 +204,12 @@ fn main() {
         cases.push(Case::new(sample, alloc, &stats));
 
         let sample = bench("solver/incr/andersen-100k/warm-edit", scale_iters, || {
-            let _ = Analysis::try_run_incremental(
-                &scale,
-                None,
-                &prev_state,
-                &edited,
-                &opts,
-                None,
-                &mut NullObserver,
-            );
+            let _ = Analysis::solve(&edited, &opts, warm, &mut NullObserver);
         });
         let mut stats = None;
         let alloc = alloc_traffic(|| {
-            let (a, _) = Analysis::try_run_incremental(
-                &scale,
-                None,
-                &prev_state,
-                &edited,
-                &opts,
-                None,
-                &mut NullObserver,
-            )
-            .expect("unbudgeted solve");
+            let (a, _) =
+                Analysis::solve(&edited, &opts, warm, &mut NullObserver).expect("unbudgeted solve");
             stats = Some(a.result.stats);
         });
         let stats = stats.expect("solve ran");
@@ -227,28 +228,12 @@ fn main() {
         let mut leaf_edited = scale.clone();
         kaleidoscope_fuzz::edit::append_leaf_function(&mut leaf_edited, 0xca1e, 1);
         let sample = bench("solver/incr/andersen-100k/warm-leaf", scale_iters, || {
-            let _ = Analysis::try_run_incremental(
-                &scale,
-                None,
-                &prev_state,
-                &leaf_edited,
-                &opts,
-                None,
-                &mut NullObserver,
-            );
+            let _ = Analysis::solve(&leaf_edited, &opts, warm, &mut NullObserver);
         });
         let mut stats = None;
         let alloc = alloc_traffic(|| {
-            let (a, _) = Analysis::try_run_incremental(
-                &scale,
-                None,
-                &prev_state,
-                &leaf_edited,
-                &opts,
-                None,
-                &mut NullObserver,
-            )
-            .expect("unbudgeted solve");
+            let (a, _) = Analysis::solve(&leaf_edited, &opts, warm, &mut NullObserver)
+                .expect("unbudgeted solve");
             stats = Some(a.result.stats);
         });
         let stats = stats.expect("solve ran");

@@ -17,7 +17,7 @@ use kaleidoscope_exec::{
     load_frontend, render_analyze, DiskCache, Executor, FrontendStats, ReportScope,
 };
 use kaleidoscope_ir::{parse_module, verify_module, Module};
-use kaleidoscope_pta::{Analysis, SolveBudget, SolveOptions};
+use kaleidoscope_pta::{Analysis, SolveBudget, SolveInput, SolveOptions};
 use kaleidoscope_runtime::ViewKind;
 use kaleidoscope_serve::{
     Request, Response, ServeConfig, Server, ShardMode, TenantQuota, WorkerOptions,
@@ -328,7 +328,13 @@ pub fn cmd_introspect(
         type_threshold: types.unwrap_or(auto.type_threshold),
     };
     let mut intro = Introspector::new(cfg);
-    let analysis = Analysis::run_full(&module, &SolveOptions::baseline(), None, &mut intro);
+    let (analysis, _) = Analysis::solve(
+        &module,
+        &SolveOptions::baseline(),
+        SolveInput::default(),
+        &mut intro,
+    )
+    .map_err(|e| err(format!("introspection solve failed: {e}")))?;
     let report = intro.into_report();
     Ok(report.render(&module, &analysis.result.nodes))
 }

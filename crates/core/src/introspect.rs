@@ -174,7 +174,7 @@ fn type_key(ty: Option<&Type>) -> TypeKey {
 }
 
 /// The introspection observer. Attach with
-/// [`kaleidoscope_pta::Analysis::run_full`].
+/// [`kaleidoscope_pta::Analysis::solve`].
 #[derive(Debug)]
 pub struct Introspector {
     config: IntrospectionConfig,
@@ -333,7 +333,14 @@ impl SolverObserver for Introspector {
 mod tests {
     use super::*;
     use kaleidoscope_ir::{FunctionBuilder, Module};
-    use kaleidoscope_pta::{Analysis, SolveOptions};
+    use kaleidoscope_pta::{Analysis, SolveInput, SolveOptions};
+
+    /// A baseline solve of `m` observed by `intro`.
+    fn observe(m: &Module, intro: &mut Introspector) -> Analysis {
+        let input = SolveInput::default();
+        let (a, _) = Analysis::solve(m, &SolveOptions::baseline(), input, intro).unwrap();
+        a
+    }
 
     /// A module where one pointer accumulates many objects of many types.
     fn explosive_module() -> Module {
@@ -367,7 +374,7 @@ mod tests {
     fn growth_alert_fires() {
         let m = explosive_module();
         let mut intro = Introspector::new(IntrospectionConfig::tiny());
-        let _a = Analysis::run_full(&m, &SolveOptions::baseline(), None, &mut intro);
+        observe(&m, &mut intro);
         let report = intro.into_report();
         assert!(
             report
@@ -385,7 +392,7 @@ mod tests {
             growth_threshold: 1000,
             type_threshold: 3,
         });
-        let _a = Analysis::run_full(&m, &SolveOptions::baseline(), None, &mut intro);
+        observe(&m, &mut intro);
         let report = intro.into_report();
         assert!(report
             .alerts
@@ -397,7 +404,7 @@ mod tests {
     fn backtracking_reaches_primitive_origins() {
         let m = explosive_module();
         let mut intro = Introspector::new(IntrospectionConfig::tiny());
-        let _a = Analysis::run_full(&m, &SolveOptions::baseline(), None, &mut intro);
+        observe(&m, &mut intro);
         let report = intro.into_report();
         let with_origins = report
             .alerts
@@ -414,7 +421,7 @@ mod tests {
     fn report_renders() {
         let m = explosive_module();
         let mut intro = Introspector::new(IntrospectionConfig::tiny());
-        let a = Analysis::run_full(&m, &SolveOptions::baseline(), None, &mut intro);
+        let a = observe(&m, &mut intro);
         let report = intro.into_report();
         let text = report.render(&m, &a.result.nodes);
         assert!(text.contains("introspection:"));
@@ -438,7 +445,7 @@ mod tests {
         b.ret(None);
         b.finish();
         let mut intro = Introspector::new(IntrospectionConfig::tiny());
-        let _a = Analysis::run_full(&m, &SolveOptions::baseline(), None, &mut intro);
+        observe(&m, &mut intro);
         assert!(intro.into_report().alerts.is_empty());
     }
 }

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use kaleidoscope_ir::{InstLoc, Module};
 use kaleidoscope_pta::{
-    Analysis, CriticalFlow, CtxPlan, ModuleBlocks, ObjSite, SolveBudget, SolveError, SolveOptions,
-    SolvedState,
+    Analysis, CriticalFlow, CtxPlan, NullObserver, ObjSite, SolveBudget, SolveError, SolveInput,
+    SolveOptions, SolvedState,
 };
 
 use crate::invariant::LikelyInvariant;
@@ -216,98 +216,60 @@ impl KaleidoscopeResult {
 ///
 /// This is a composition of the cacheable stages below; the parallel
 /// executor (`kaleidoscope-exec`) runs the same stages but memoizes
-/// [`fallback_analysis`], [`ctx_plan_for`], and [`optimistic_analysis`]
-/// per module in its content-addressed artifact cache. Keeping both paths
-/// on one set of stage functions is what makes their outputs
-/// byte-identical.
+/// [`solve_view`] and [`ctx_plan_for`] per module in its content-addressed
+/// artifact cache. Keeping both paths on one set of stage functions is
+/// what makes their outputs byte-identical.
 pub fn analyze(module: &Module, config: PolicyConfig) -> KaleidoscopeResult {
-    let fallback = Arc::new(fallback_analysis(module));
+    let budget = SolveBudget::default();
+    let view = |optimistic| {
+        let (analysis, _) = solve_view(module, optimistic, &budget, SolveInput::default())
+            .unwrap_or_else(|e| panic!("likely divergence: {e}"));
+        Arc::new(analysis)
+    };
+    let fallback = view(None);
     let ctx_plan = ctx_plan_for(module, config);
-    let optimistic = Arc::new(optimistic_analysis(module, config, &ctx_plan));
+    let optimistic = view(Some((config, &ctx_plan)));
     assemble_result(module, config, fallback, optimistic, ctx_plan)
 }
 
-/// ❶ Stage: the standard (conservative) analysis — the fallback view.
+/// ❶/❷ Stage: one memory view of `module` under `budget` — the fallback
+/// view when `optimistic` is `None`, else the optimistic view under the
+/// configuration's policies and context plan.
 ///
-/// Independent of `config`, so every configuration of one module shares a
-/// single fallback solve.
-pub fn fallback_analysis(module: &Module) -> Analysis {
-    Analysis::run(module, &SolveOptions::baseline())
-}
-
-/// Budgeted variant of [`fallback_analysis`]: a typed error instead of a
-/// panic when the budget is exhausted.
-pub fn try_fallback_analysis(
+/// The fallback view is independent of the configuration, so every
+/// configuration of one module shares a single fallback solve. The
+/// optimistic view depends on the module content, the `(pa, pwc)` solve
+/// options and — when `config.ctx` is on — the context plan.
+///
+/// `input` carries the rest of the request (frontend blocks, warm start,
+/// capture); its `ctx_plan` and the previous revision's `plan` are
+/// derived here from the view, so callers only thread the previous
+/// revision's module, blocks and captured state.
+pub fn solve_view(
     module: &Module,
+    optimistic: Option<(PolicyConfig, &CtxPlan)>,
     budget: &SolveBudget,
-) -> Result<Analysis, SolveError> {
-    let opts = SolveOptions::baseline_with_budget(budget.clone());
-    Analysis::try_run(module, &opts)
-}
-
-/// [`try_fallback_analysis`] with pre-recorded frontend constraint blocks:
-/// constraint generation replays `blocks` instead of re-walking the IR.
-/// The generated program — and hence the analysis — is identical.
-pub fn try_fallback_analysis_fe(
-    module: &Module,
-    budget: &SolveBudget,
-    blocks: Option<&ModuleBlocks>,
-) -> Result<Analysis, SolveError> {
-    let opts = SolveOptions::baseline_with_budget(budget.clone());
-    Analysis::try_run_full_fe(
-        module,
-        &opts,
-        None,
-        &mut kaleidoscope_pta::NullObserver,
-        blocks,
-    )
-}
-
-/// Incremental-aware variant of [`try_fallback_analysis`]: when `prev`
-/// supplies the previous revision's module and captured fixpoint, the
-/// solve warm-starts from it (falling back to a sound full solve on any
-/// incompatible edit); either way a fresh [`SolvedState`] snapshot of the
-/// new fixpoint is captured when the solve converges.
-pub fn try_fallback_analysis_incr(
-    module: &Module,
-    budget: &SolveBudget,
-    prev: Option<(&Module, &SolvedState)>,
+    input: SolveInput<'_>,
 ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    try_fallback_analysis_incr_fe(module, budget, prev, None, None)
-}
-
-/// [`try_fallback_analysis_incr`] with pre-recorded frontend constraint
-/// blocks for the current (`blocks`) and previous (`prev_blocks`) module
-/// revisions. Constraint generation replays the blocks instead of
-/// re-walking the IR; the generated program is identical either way.
-pub fn try_fallback_analysis_incr_fe(
-    module: &Module,
-    budget: &SolveBudget,
-    prev: Option<(&Module, &SolvedState)>,
-    prev_blocks: Option<&ModuleBlocks>,
-    blocks: Option<&ModuleBlocks>,
-) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    let opts = SolveOptions::baseline_with_budget(budget.clone());
-    match prev {
-        Some((prev_module, prev_state)) => Analysis::try_run_incremental_fe(
-            prev_module,
-            None,
-            prev_state,
-            module,
-            &opts,
-            None,
-            &mut kaleidoscope_pta::NullObserver,
-            prev_blocks,
-            blocks,
-        ),
-        None => Analysis::try_run_captured_fe(
-            module,
-            &opts,
-            None,
-            &mut kaleidoscope_pta::NullObserver,
-            blocks,
-        ),
+    let opts = match optimistic {
+        None => SolveOptions::baseline_with_budget(budget.clone()),
+        Some((config, _)) => SolveOptions {
+            budget: budget.clone(),
+            ..SolveOptions::optimistic(config.pa, config.pwc)
+        },
+    };
+    let ctx = optimistic.filter(|(config, _)| config.ctx);
+    // Plan detection is deterministic, so the previous revision's plan is
+    // re-derived from its module rather than stored with its snapshot.
+    let prev_plan = ctx
+        .zip(input.prev)
+        .map(|((config, _), prev)| ctx_plan_for(prev.module, config));
+    let mut input = input;
+    input.ctx_plan = ctx.map(|(_, plan)| plan);
+    if let Some(prev) = &mut input.prev {
+        prev.plan = prev_plan.as_ref();
     }
+    Analysis::solve(module, &opts, input, &mut NullObserver)
 }
 
 /// Stage: the context plan feeding constraint generation (empty when the
@@ -317,123 +279,6 @@ pub fn ctx_plan_for(module: &Module, config: PolicyConfig) -> CtxPlan {
         detect_ctx_plan(module)
     } else {
         CtxPlan::new()
-    }
-}
-
-/// ❷ Stage: the optimistic analysis under `config`'s policies.
-///
-/// Depends on the module content, the `(pa, pwc)` solve options, and —
-/// when `config.ctx` is on — the context plan.
-pub fn optimistic_analysis(module: &Module, config: PolicyConfig, ctx_plan: &CtxPlan) -> Analysis {
-    let opts = SolveOptions::optimistic(config.pa, config.pwc);
-    Analysis::run_full(
-        module,
-        &opts,
-        if config.ctx { Some(ctx_plan) } else { None },
-        &mut kaleidoscope_pta::NullObserver,
-    )
-}
-
-/// Budgeted variant of [`optimistic_analysis`].
-pub fn try_optimistic_analysis(
-    module: &Module,
-    config: PolicyConfig,
-    ctx_plan: &CtxPlan,
-    budget: &SolveBudget,
-) -> Result<Analysis, SolveError> {
-    let opts = SolveOptions {
-        budget: budget.clone(),
-        ..SolveOptions::optimistic(config.pa, config.pwc)
-    };
-    Analysis::try_run_full(
-        module,
-        &opts,
-        if config.ctx { Some(ctx_plan) } else { None },
-        &mut kaleidoscope_pta::NullObserver,
-    )
-}
-
-/// [`try_optimistic_analysis`] with pre-recorded frontend constraint
-/// blocks. Blocks are plan-free: functions the context plan touches are
-/// regenerated live during the splice.
-pub fn try_optimistic_analysis_fe(
-    module: &Module,
-    config: PolicyConfig,
-    ctx_plan: &CtxPlan,
-    budget: &SolveBudget,
-    blocks: Option<&ModuleBlocks>,
-) -> Result<Analysis, SolveError> {
-    let opts = SolveOptions {
-        budget: budget.clone(),
-        ..SolveOptions::optimistic(config.pa, config.pwc)
-    };
-    Analysis::try_run_full_fe(
-        module,
-        &opts,
-        if config.ctx { Some(ctx_plan) } else { None },
-        &mut kaleidoscope_pta::NullObserver,
-        blocks,
-    )
-}
-
-/// Incremental-aware variant of [`try_optimistic_analysis`]. The previous
-/// revision's context plan is derived from its module here (plan detection
-/// is deterministic), so callers only have to thread the module and the
-/// captured state. See [`try_fallback_analysis_incr`] for semantics.
-pub fn try_optimistic_analysis_incr(
-    module: &Module,
-    config: PolicyConfig,
-    ctx_plan: &CtxPlan,
-    budget: &SolveBudget,
-    prev: Option<(&Module, &SolvedState)>,
-) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    try_optimistic_analysis_incr_fe(module, config, ctx_plan, budget, prev, None, None)
-}
-
-/// [`try_optimistic_analysis_incr`] with pre-recorded frontend constraint
-/// blocks. Blocks are plan-free: functions the context plan touches are
-/// regenerated live during the splice, so the optimistic program is still
-/// identical to full live generation.
-pub fn try_optimistic_analysis_incr_fe(
-    module: &Module,
-    config: PolicyConfig,
-    ctx_plan: &CtxPlan,
-    budget: &SolveBudget,
-    prev: Option<(&Module, &SolvedState)>,
-    prev_blocks: Option<&ModuleBlocks>,
-    blocks: Option<&ModuleBlocks>,
-) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-    let opts = SolveOptions {
-        budget: budget.clone(),
-        ..SolveOptions::optimistic(config.pa, config.pwc)
-    };
-    let plan = if config.ctx { Some(ctx_plan) } else { None };
-    match prev {
-        Some((prev_module, prev_state)) => {
-            let prev_plan = if config.ctx {
-                Some(ctx_plan_for(prev_module, config))
-            } else {
-                None
-            };
-            Analysis::try_run_incremental_fe(
-                prev_module,
-                prev_plan.as_ref(),
-                prev_state,
-                module,
-                &opts,
-                plan,
-                &mut kaleidoscope_pta::NullObserver,
-                prev_blocks,
-                blocks,
-            )
-        }
-        None => Analysis::try_run_captured_fe(
-            module,
-            &opts,
-            plan,
-            &mut kaleidoscope_pta::NullObserver,
-            blocks,
-        ),
     }
 }
 
@@ -574,6 +419,14 @@ mod tests {
     use kaleidoscope_ir::{FunctionBuilder, LocalId, Type};
     use kaleidoscope_pta::PtsStats;
 
+    fn view(
+        m: &Module,
+        optimistic: Option<(PolicyConfig, &CtxPlan)>,
+        budget: &SolveBudget,
+    ) -> Result<Analysis, SolveError> {
+        Ok(solve_view(m, optimistic, budget, SolveInput::default())?.0)
+    }
+
     /// The Figure 6 (Lighttpd) shape: arbitrary arithmetic on a char buffer
     /// whose points-to set was polluted with struct plugins.
     fn lighttpd_module() -> Module {
@@ -699,7 +552,7 @@ mod tests {
         assert_eq!(healthy.health, CellHealth::Healthy);
         let r = assemble_degraded_fallback(
             PolicyConfig::all(),
-            Arc::new(fallback_analysis(&m)),
+            Arc::new(view(&m, None, &SolveBudget::default()).unwrap()),
             CtxPlan::new(),
             "iteration budget exceeded".into(),
         );
@@ -734,8 +587,8 @@ mod tests {
     #[test]
     fn budgeted_stages_match_unbudgeted_when_sufficient() {
         let m = lighttpd_module();
-        let a = fallback_analysis(&m);
-        let b = try_fallback_analysis(&m, &SolveBudget::default()).expect("default budget");
+        let a = analyze(&m, PolicyConfig::none()).fallback;
+        let b = view(&m, None, &SolveBudget::default()).expect("default budget");
         let f = m.func_by_name("http_write_header").unwrap();
         for l in 0..m.func(f).locals.len() as u32 {
             assert_eq!(
@@ -744,11 +597,11 @@ mod tests {
             );
         }
         let tiny = SolveBudget::iterations(1);
-        assert!(try_fallback_analysis(&m, &tiny).is_err());
+        assert!(view(&m, None, &tiny).is_err());
         let cfg = PolicyConfig::all();
         let plan = ctx_plan_for(&m, cfg);
-        assert!(try_optimistic_analysis(&m, cfg, &plan, &tiny).is_err());
-        assert!(try_optimistic_analysis(&m, cfg, &plan, &SolveBudget::default()).is_ok());
+        assert!(view(&m, Some((cfg, &plan)), &tiny).is_err());
+        assert!(view(&m, Some((cfg, &plan)), &SolveBudget::default()).is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! rest block on the slot instead of duplicating the solve.
 //!
 //! Integrity: every analysis entry carries a content digest taken when the
-//! artifact was stored. The fallible fetch path ([`ArtifactCache::try_analysis`])
+//! artifact was stored. The analysis fetch ([`ArtifactCache::try_analysis`])
 //! re-digests on every hit and reports [`FetchError::Corrupt`] on mismatch,
 //! so a damaged entry degrades the one cell that reads it instead of
 //! silently serving a wrong memory view. Failed solves are never stored —
@@ -199,8 +199,8 @@ impl ArtifactCache {
         Arc::clone(self.entries().entry(key).or_default())
     }
 
-    /// Infallible slot fetch (no verification): the legacy path for
-    /// artifacts whose compute cannot fail.
+    /// Infallible slot fetch (no verification), for the artifacts whose
+    /// compute cannot fail: the Steensgaard tier and the context plan.
     fn slot(&self, key: Key, compute: impl FnOnce() -> Slot) -> Slot {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let entry = self.entry(key);
@@ -281,29 +281,6 @@ impl ArtifactCache {
         }
     }
 
-    /// The solved analysis for `(fingerprint, opts, with_ctx)`, computing
-    /// it with `compute` on a miss. Unverified legacy path for infallible
-    /// computes.
-    pub fn analysis(
-        &self,
-        fingerprint: u64,
-        opts: &SolveOptions,
-        with_ctx: bool,
-        compute: impl FnOnce() -> Analysis,
-    ) -> Arc<Analysis> {
-        let key = Key::new(
-            fingerprint,
-            Stage::Solve {
-                opts_key: opts.cache_key(),
-                with_ctx,
-            },
-        );
-        match self.slot(key, || Slot::Analysis(Arc::new(compute()))) {
-            Slot::Analysis(a) => a,
-            Slot::Plan(_) => unreachable!("solve key holds an analysis"),
-        }
-    }
-
     /// The Steensgaard-tier analysis for `fingerprint`, computing it on a
     /// miss. One per module; the unification solve cannot fail.
     pub fn steens(&self, fingerprint: u64, compute: impl FnOnce() -> Analysis) -> Arc<Analysis> {
@@ -379,18 +356,22 @@ mod tests {
     fn keys_separate_by_content_options_and_ctx() {
         let cache = ArtifactCache::new();
         let mk = || {
-            Analysis::run(
+            Ok(Analysis::run(
                 &kaleidoscope_ir::Module::new("empty"),
                 &SolveOptions::baseline(),
-            )
+            ))
         };
         let base = SolveOptions::baseline();
         let opt = SolveOptions::optimistic(true, false);
-        cache.analysis(1, &base, false, mk);
-        cache.analysis(1, &base, false, mk); // hit
-        cache.analysis(2, &base, false, mk); // new fingerprint
-        cache.analysis(1, &opt, false, mk); // new options
-        cache.analysis(1, &base, true, mk); // ctx plan fed generation
+        for (fp, opts, with_ctx) in [
+            (1, &base, false),
+            (1, &base, false), // hit
+            (2, &base, false), // new fingerprint
+            (1, &opt, false),  // new options
+            (1, &base, true),  // ctx plan fed generation
+        ] {
+            assert!(cache.try_analysis(fp, opts, with_ctx, mk).is_ok());
+        }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().misses, 4);
         assert_eq!(cache.stats().hits(), 1);
@@ -428,8 +409,5 @@ mod tests {
         let fetched = cache.try_analysis(3, &base, false, || Ok(Analysis::run(&m, &base)));
         assert!(matches!(fetched, Err(FetchError::Corrupt)));
         assert_eq!(cache.stats().verify_failures, 1);
-        // The unverified legacy path still serves it (used only by callers
-        // that predate the ladder).
-        let _ = cache.analysis(3, &base, false, || Analysis::run(&m, &base));
     }
 }

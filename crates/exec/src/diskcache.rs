@@ -453,9 +453,9 @@ impl DiskCache {
 
     /// Store a module's canonical text under fingerprint `fp`.
     ///
-    /// `text` must be the canonical form ([`Module::to_text`]
-    /// (kaleidoscope_ir::Module::to_text)) so that re-parsing the stored
-    /// text yields the same fingerprint.
+    /// `text` must be the canonical form
+    /// ([`Module::to_text`](kaleidoscope_ir::Module::to_text)) so that
+    /// re-parsing the stored text yields the same fingerprint.
     pub fn put_module(&self, fp: u64, text: &str) -> io::Result<()> {
         let path = self.module_path(fp);
         if path.exists() {

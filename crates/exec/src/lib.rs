@@ -26,7 +26,7 @@
 //!   fault plan, where the two paths are byte-identical by construction).
 //!
 //! Both paths compose the same stage functions from `core::pipeline`
-//! (`fallback_analysis` / `ctx_plan_for` / `optimistic_analysis` /
+//! (`solve_view` for either memory view, `ctx_plan_for`,
 //! `assemble_result`), which is what makes their outputs identical.
 //!
 //! # Fault domains and the degradation ladder
@@ -48,7 +48,7 @@
 //! Degraded cells are tagged via [`kaleidoscope::CellHealth`] on the
 //! result, and surface in `kd analyze --stats`, the report dashboard, and
 //! `BENCH_executor.json`. The `fault-injection` cargo feature adds
-//! [`FaultPlan`] for deterministically injecting panics, budget
+//! `FaultPlan` for deterministically injecting panics, budget
 //! exhaustion, and cache corruption at chosen cells.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -71,16 +71,14 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-#[cfg(feature = "fault-injection")]
-use kaleidoscope::try_optimistic_analysis;
 use kaleidoscope::{
     analyze, assemble_degraded_fallback, assemble_degraded_steens, assemble_result, ctx_plan_for,
-    try_fallback_analysis, try_fallback_analysis_fe, try_fallback_analysis_incr_fe,
-    try_optimistic_analysis_fe, try_optimistic_analysis_incr_fe, KaleidoscopeResult, PolicyConfig,
+    solve_view, KaleidoscopeResult, PolicyConfig,
 };
 use kaleidoscope_ir::{claim_indexed, parse_module, Module};
 use kaleidoscope_pta::{
-    steens_analysis, CtxPlan, ModuleBlocks, SolveBudget, SolveError, SolveOptions, SolvedState,
+    steens_analysis, Analysis, CtxPlan, ModuleBlocks, PrevRevision, SolveBudget, SolveError,
+    SolveInput, SolveOptions, SolvedState,
 };
 
 /// Why a cell's configured pipeline could not produce its artifact. The
@@ -261,11 +259,12 @@ impl Executor {
         self.cache.stats()
     }
 
-    fn optimistic_opts(&self, config: PolicyConfig) -> SolveOptions {
-        SolveOptions {
-            budget: self.budget.clone(),
-            ..SolveOptions::optimistic(config.pa, config.pwc)
-        }
+    /// The result-affecting options of a view (the fallback view when
+    /// `config` is `None`); they key its artifact and its snapshots.
+    fn view_opts(config: Option<PolicyConfig>) -> SolveOptions {
+        config.map_or_else(SolveOptions::baseline, |c| {
+            SolveOptions::optimistic(c.pa, c.pwc)
+        })
     }
 
     /// Run the IGO pipeline for one cell through the artifact cache, with
@@ -316,13 +315,64 @@ impl Executor {
         Some((module, blocks, state))
     }
 
-    /// Publish a converged solve's snapshot to the state store (best
-    /// effort: a failed disk write only costs the next edit its warm
-    /// start).
-    fn publish_state(&self, fp: u64, opts_key: u64, with_ctx: bool, state: Option<&SolvedState>) {
-        if let (Some(store), Some(s)) = (self.state_store.as_ref(), state) {
-            let _ = store.put_state(fp, opts_key, with_ctx, &s.to_bytes());
+    /// Solve one view of `module` (the fallback view when `optimistic` is
+    /// `None`) under `budget`, replaying the attached frontend blocks. With
+    /// a state store attached the solve warm-starts from the previous
+    /// revision's snapshot when one is present, and publishes its own
+    /// (best effort: a failed disk write only costs the next edit its warm
+    /// start). Without a store nothing is captured — a capture is a pass
+    /// over every set that only a store can pay back.
+    fn compute_view(
+        &self,
+        module: &Module,
+        fp: u64,
+        optimistic: Option<(PolicyConfig, &CtxPlan)>,
+        budget: &SolveBudget,
+    ) -> Result<Analysis, SolveError> {
+        let blocks = self.frontend_blocks(fp);
+        let Some(store) = &self.state_store else {
+            let input = SolveInput {
+                blocks,
+                ..SolveInput::default()
+            };
+            return Ok(solve_view(module, optimistic, budget, input)?.0);
+        };
+        let opts_key = Self::view_opts(optimistic.map(|(c, _)| c)).cache_key();
+        let with_ctx = optimistic.is_some_and(|(c, _)| c.ctx);
+        let prev = self.prev_inputs(opts_key, with_ctx);
+        let input = SolveInput {
+            blocks,
+            prev: prev.as_ref().map(|(module, blocks, state)| PrevRevision {
+                module,
+                plan: None,
+                blocks: Some(blocks),
+                state,
+            }),
+            capture: true,
+            ..SolveInput::default()
+        };
+        let (analysis, state) = solve_view(module, optimistic, budget, input)?;
+        if let Some(state) = state {
+            let _ = store.put_state(fp, opts_key, with_ctx, &state.to_bytes());
         }
+        Ok(analysis)
+    }
+
+    /// One view of `module` (fingerprinted `fp`) through the artifact
+    /// cache, solved by [`Executor::compute_view`] under the executor's
+    /// budget on a miss.
+    fn cached_view(
+        &self,
+        module: &Module,
+        fp: u64,
+        optimistic: Option<(PolicyConfig, &CtxPlan)>,
+    ) -> Result<Arc<Analysis>, FetchError> {
+        let config = optimistic.map(|(c, _)| c);
+        let with_ctx = config.is_some_and(|c| c.ctx);
+        self.cache
+            .try_analysis(fp, &Self::view_opts(config), with_ctx, || {
+                self.compute_view(module, fp, optimistic, &self.budget)
+            })
     }
 
     fn run_cell(
@@ -382,48 +432,23 @@ impl Executor {
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::FallbackBudget) {
             // Solve uncached under an exhausted budget: the faulted
-            // attempt must neither publish nor consume shared artifacts.
+            // attempt must neither publish nor consume a cached artifact.
             return Err(CellError::FallbackBudget(synthesize_budget_failure(
-                try_fallback_analysis(module, &SolveBudget::iterations(0)),
+                self.compute_view(module, fp, None, &SolveBudget::iterations(0)),
             )));
         }
 
-        let blocks = self.frontend_blocks(fp);
-        let fallback = self
-            .cache
-            .try_analysis(fp, &SolveOptions::baseline(), false, || {
-                if self.state_store.is_none() {
-                    return try_fallback_analysis_fe(module, &self.budget, blocks);
-                }
-                let key = SolveOptions::baseline().cache_key();
-                let prev = self.prev_inputs(key, false);
-                let (analysis, state) = try_fallback_analysis_incr_fe(
-                    module,
-                    &self.budget,
-                    prev.as_ref().map(|(m, _, s)| (&**m, s)),
-                    prev.as_ref().map(|(_, b, _)| &**b),
-                    blocks,
-                )?;
-                self.publish_state(fp, key, false, state.as_ref());
-                Ok(analysis)
-            })
-            .map_err(|e| match e {
-                FetchError::Corrupt => CellError::CorruptArtifact,
-                FetchError::Solve(s) => CellError::FallbackBudget(s),
-            })?;
-
-        let ctx_plan = if config.ctx {
-            self.cache.ctx_plan(fp, || ctx_plan_for(module, config))
-        } else {
-            Arc::new(CtxPlan::new())
-        };
-
-        let opts = self.optimistic_opts(config);
+        let fallback = self.cached_view(module, fp, None).map_err(|e| match e {
+            FetchError::Corrupt => CellError::CorruptArtifact,
+            FetchError::Solve(s) => CellError::FallbackBudget(s),
+        })?;
+        let ctx_plan = self.ctx_plan(module, fp, config);
+        let optimistic = Some((config, &*ctx_plan));
 
         #[cfg(feature = "fault-injection")]
         if fault == Some(FaultKind::OptimisticBudget) {
             return Err(CellError::OptimisticBudget(synthesize_budget_failure(
-                try_optimistic_analysis(module, config, &ctx_plan, &SolveBudget::iterations(0)),
+                self.compute_view(module, fp, optimistic, &SolveBudget::iterations(0)),
             )));
         }
 
@@ -431,38 +456,13 @@ impl Executor {
         if fault == Some(FaultKind::CacheCorruption) {
             // Ensure the artifact exists, then damage its recorded digest;
             // the verified fetch below must reject it.
-            let _ = self.cache.try_analysis(fp, &opts, config.ctx, || {
-                try_optimistic_analysis(module, config, &ctx_plan, &self.budget)
-            });
-            self.cache.corrupt_analysis_entry(fp, &opts, config.ctx);
+            let _ = self.cached_view(module, fp, optimistic);
+            self.cache
+                .corrupt_analysis_entry(fp, &Self::view_opts(Some(config)), config.ctx);
         }
 
         let optimistic = self
-            .cache
-            .try_analysis(fp, &opts, config.ctx, || {
-                if self.state_store.is_none() {
-                    return try_optimistic_analysis_fe(
-                        module,
-                        config,
-                        &ctx_plan,
-                        &self.budget,
-                        blocks,
-                    );
-                }
-                let key = opts.cache_key();
-                let prev = self.prev_inputs(key, config.ctx);
-                let (analysis, state) = try_optimistic_analysis_incr_fe(
-                    module,
-                    config,
-                    &ctx_plan,
-                    &self.budget,
-                    prev.as_ref().map(|(m, _, s)| (&**m, s)),
-                    prev.as_ref().map(|(_, b, _)| &**b),
-                    blocks,
-                )?;
-                self.publish_state(fp, key, config.ctx, state.as_ref());
-                Ok(analysis)
-            })
+            .cached_view(module, fp, optimistic)
             .map_err(|e| match e {
                 FetchError::Corrupt => CellError::CorruptArtifact,
                 FetchError::Solve(s) => CellError::OptimisticBudget(s),
@@ -477,6 +477,16 @@ impl Executor {
         ))
     }
 
+    /// The context plan of `module` under `config` (cached; empty when the
+    /// ctx policy is off).
+    fn ctx_plan(&self, module: &Module, fp: u64, config: PolicyConfig) -> Arc<CtxPlan> {
+        if config.ctx {
+            self.cache.ctx_plan(fp, || ctx_plan_for(module, config))
+        } else {
+            Arc::new(CtxPlan::new())
+        }
+    }
+
     /// The degradation ladder — the analysis-time analogue of the paper's
     /// runtime switch to the fallback memory view.
     fn degrade(&self, module: &Module, config: PolicyConfig, err: CellError) -> KaleidoscopeResult {
@@ -488,16 +498,8 @@ impl Executor {
         // against its own faults so a failure here falls through.
         if !matches!(err, CellError::FallbackBudget(_)) {
             let rung1 = catch_unwind(AssertUnwindSafe(|| {
-                let fallback =
-                    self.cache
-                        .try_analysis(fp, &SolveOptions::baseline(), false, || {
-                            try_fallback_analysis(module, &self.budget)
-                        })?;
-                let ctx_plan = if config.ctx {
-                    self.cache.ctx_plan(fp, || ctx_plan_for(module, config))
-                } else {
-                    Arc::new(CtxPlan::new())
-                };
+                let fallback = self.cached_view(module, fp, None)?;
+                let ctx_plan = self.ctx_plan(module, fp, config);
                 Ok::<_, FetchError>(assemble_degraded_fallback(
                     config,
                     fallback,
@@ -594,9 +596,7 @@ impl Executor {
 /// off-chance the module is trivial enough to finish anyway, synthesize
 /// the error so the fault still fires deterministically.
 #[cfg(feature = "fault-injection")]
-fn synthesize_budget_failure(
-    outcome: Result<kaleidoscope_pta::Analysis, SolveError>,
-) -> SolveError {
+fn synthesize_budget_failure(outcome: Result<Analysis, SolveError>) -> SolveError {
     outcome.err().unwrap_or_else(|| SolveError::BudgetExceeded {
         kind: kaleidoscope_pta::BudgetKind::Iterations,
         stats: Box::new(kaleidoscope_pta::SolveStats::default()),

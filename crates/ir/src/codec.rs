@@ -93,6 +93,11 @@ impl ByteWriter {
     /// Write raw bytes with a length prefix.
     pub fn bytes(&mut self, b: &[u8]) {
         self.uint(b.len() as u64);
+        self.raw(b);
+    }
+
+    /// Write raw bytes as they are, with no length prefix.
+    pub fn raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 }
@@ -159,6 +164,11 @@ impl<'a> ByteReader<'a> {
     /// Read length-prefixed raw bytes.
     pub fn raw_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.uint()? as usize;
+        self.raw(n)
+    }
+
+    /// Read `n` raw bytes (no length prefix).
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self
             .pos
             .checked_add(n)
@@ -167,6 +177,30 @@ impl<'a> ByteReader<'a> {
         let b = &self.buf[self.pos..end];
         self.pos = end;
         Ok(b)
+    }
+
+    /// Read an element count. Every encoded element takes at least one
+    /// byte, so a count larger than the bytes left is an error — which
+    /// bounds any allocation sized by it to the input length.
+    pub fn count(&mut self) -> Result<usize, CodecError> {
+        let n = self.uint()?;
+        if n > (self.buf.len() - self.pos) as u64 {
+            return Err(bad("count exceeds remaining bytes"));
+        }
+        Ok(n as usize)
+    }
+
+    /// Read a counted list, decoding each element with `elem`.
+    pub fn list<T>(
+        &mut self,
+        mut elem: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let n = self.count()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Ok(out)
     }
 }
 
@@ -212,11 +246,7 @@ pub fn decode_type(r: &mut ByteReader<'_>) -> Result<Type, CodecError> {
             Type::array(elem, len)
         }
         5 => {
-            let n = r.uint()? as usize;
-            let mut params = Vec::with_capacity(n);
-            for _ in 0..n {
-                params.push(decode_type(r)?);
-            }
+            let params = r.list(decode_type)?;
             let ret = decode_type(r)?;
             Type::Func(FuncSig::new(params, ret))
         }
@@ -296,12 +326,7 @@ fn encode_args(w: &mut ByteWriter, args: &[Operand]) {
 }
 
 fn decode_args(r: &mut ByteReader<'_>) -> Result<Vec<Operand>, CodecError> {
-    let n = r.uint()? as usize;
-    let mut args = Vec::with_capacity(n);
-    for _ in 0..n {
-        args.push(decode_operand(r)?);
-    }
-    Ok(args)
+    r.list(decode_operand)
 }
 
 fn encode_opt_local(w: &mut ByteWriter, l: &Option<LocalId>) {
@@ -542,27 +567,18 @@ pub fn decode_function(r: &mut ByteReader<'_>) -> Result<Function, CodecError> {
     let name = r.str()?;
     let param_count = r.uint()? as usize;
     let ret_ty = decode_type(r)?;
-    let n_locals = r.uint()? as usize;
-    let mut locals = Vec::with_capacity(n_locals);
-    for _ in 0..n_locals {
-        locals.push(LocalDecl {
+    let locals = r.list(|r| {
+        Ok(LocalDecl {
             name: r.str()?,
             ty: decode_type(r)?,
-        });
-    }
-    let n_blocks = r.uint()? as usize;
-    let mut blocks = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
-        let n_insts = r.uint()? as usize;
-        let mut insts = Vec::with_capacity(n_insts);
-        for _ in 0..n_insts {
-            insts.push(decode_inst(r)?);
-        }
-        blocks.push(Block {
-            insts,
+        })
+    })?;
+    let blocks = r.list(|r| {
+        Ok(Block {
+            insts: r.list(decode_inst)?,
             term: decode_terminator(r)?,
-        });
-    }
+        })
+    })?;
     Ok(Function {
         name,
         param_count,
@@ -658,5 +674,23 @@ mod tests {
             let mut r = ByteReader::new(&bytes[..cut]);
             assert!(decode_function(&mut r).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn oversized_counts_are_errors_not_allocations() {
+        // An empty name, zero params, void return, then 2^45 locals: sized
+        // by the count, this would ask for a multi-terabyte allocation.
+        let huge_locals = [0u8, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x08];
+        let mut r = ByteReader::new(&huge_locals);
+        assert!(decode_function(&mut r).is_err());
+        // A function type claiming 2^40 parameters.
+        let huge_params = [5u8, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+        let mut r = ByteReader::new(&huge_params);
+        assert!(decode_type(&mut r).is_err());
+        // A count is accepted up to the bytes that remain, no further.
+        let mut r = ByteReader::new(&[2, 0, 0]);
+        assert_eq!(r.count().unwrap(), 2);
+        let mut r = ByteReader::new(&[3, 0, 0]);
+        assert!(r.count().is_err());
     }
 }

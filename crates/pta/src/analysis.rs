@@ -36,131 +36,72 @@ fn _assert_shareable() {
     send_sync::<CtxPlan>();
 }
 
+/// The previous revision a solve warm-starts from: its module, the context
+/// plan and frontend blocks its constraints were generated with, and the
+/// fixpoint captured from its solve under the same options.
+#[derive(Debug, Clone, Copy)]
+pub struct PrevRevision<'a> {
+    /// The previous module revision.
+    pub module: &'a Module,
+    /// The context plan the previous revision was generated with.
+    pub plan: Option<&'a CtxPlan>,
+    /// Pre-recorded frontend blocks of the previous revision.
+    pub blocks: Option<&'a ModuleBlocks>,
+    /// The previous revision's captured fixpoint.
+    pub state: &'a SolvedState,
+}
+
+/// How a solve is requested. The default is a cold solve of live-generated,
+/// context-insensitive constraints with no snapshot capture.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SolveInput<'a> {
+    /// Context plan feeding constraint generation.
+    pub ctx_plan: Option<&'a CtxPlan>,
+    /// Pre-recorded frontend blocks: generation replays them for every
+    /// function the context plan does not affect, producing a program
+    /// identical to live generation.
+    pub blocks: Option<&'a ModuleBlocks>,
+    /// Warm start: seed the worklist with only what the edit touched. Any
+    /// incompatible edit falls back to a sound full solve, visible as
+    /// `stats.incr_fallback_full == 1`.
+    pub prev: Option<PrevRevision<'a>>,
+    /// Capture a [`SolvedState`] of the fixpoint when the solve converges,
+    /// for later warm starts of edited revisions.
+    pub capture: bool,
+}
+
 impl Analysis {
-    /// Generate constraints and solve, without a context plan or observer.
+    /// Generate constraints and solve, without a context plan or observer,
+    /// panicking if the budget of `opts` runs out (the default budget is
+    /// effectively unlimited).
     pub fn run(module: &Module, opts: &SolveOptions) -> Analysis {
-        Self::run_full(module, opts, None, &mut NullObserver)
+        Self::solve(module, opts, SolveInput::default(), &mut NullObserver)
+            .unwrap_or_else(|e| panic!("likely divergence: {e}"))
+            .0
     }
 
-    /// Generate constraints (honouring `ctx_plan` if given) and solve,
-    /// reporting events to `obs`.
-    pub fn run_full(
+    /// Generate constraints as `input` requests and solve them under
+    /// `opts`, reporting events to `obs`. Returns the typed budget error
+    /// when the solve budget is exhausted, and the captured snapshot when
+    /// `input.capture` is set and the solve converged.
+    pub fn solve(
         module: &Module,
         opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-    ) -> Analysis {
-        let program = generate_spliced(module, ctx_plan, None);
-        let result = Solver::new(module, program, opts.clone()).solve(obs);
-        Analysis { result }
-    }
-
-    /// Fallible variant of [`Analysis::run`]: returns the typed budget
-    /// error instead of panicking when the solve budget is exhausted.
-    pub fn try_run(module: &Module, opts: &SolveOptions) -> Result<Analysis, SolveError> {
-        Self::try_run_full(module, opts, None, &mut NullObserver)
-    }
-
-    /// Fallible variant of [`Analysis::run_full`].
-    pub fn try_run_full(
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<Analysis, SolveError> {
-        Self::try_run_full_fe(module, opts, ctx_plan, obs, None)
-    }
-
-    /// [`Analysis::try_run_full`] with pre-recorded frontend constraint
-    /// blocks: constraint generation replays `blocks` for every function
-    /// the context plan does not affect, producing a program identical to
-    /// full live generation.
-    pub fn try_run_full_fe(
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-        blocks: Option<&ModuleBlocks>,
-    ) -> Result<Analysis, SolveError> {
-        let program = generate_spliced(module, ctx_plan, blocks);
-        let result = Solver::new(module, program, opts.clone()).try_solve(obs)?;
-        Ok(Analysis { result })
-    }
-
-    /// Like [`Analysis::try_run_full`], but also captures a [`SolvedState`]
-    /// snapshot when the solve converges, for later incremental re-solves
-    /// of edited revisions of the same module.
-    pub fn try_run_captured(
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
+        input: SolveInput<'_>,
         obs: &mut dyn SolverObserver,
     ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-        Self::try_run_captured_fe(module, opts, ctx_plan, obs, None)
-    }
-
-    /// [`Analysis::try_run_captured`] with pre-recorded frontend blocks.
-    pub fn try_run_captured_fe(
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-        blocks: Option<&ModuleBlocks>,
-    ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-        let program = generate_spliced(module, ctx_plan, blocks);
-        let (result, state) = Solver::new(module, program, opts.clone())
-            .try_solve_captured(module.fingerprint(), obs)?;
-        Ok((Analysis { result }, state))
-    }
-
-    /// Incremental re-solve: warm-start from `prev` (the captured fixpoint
-    /// of `prev_module` under the same options) and seed the worklist with
-    /// only the touched nodes. Any incompatible edit falls back to a sound
-    /// full solve, visible as `stats.incr_fallback_full == 1`. Captures a
-    /// fresh snapshot of the new fixpoint for chained edits.
-    pub fn try_run_incremental(
-        prev_module: &Module,
-        prev_plan: Option<&CtxPlan>,
-        prev: &SolvedState,
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-        Self::try_run_incremental_fe(
-            prev_module,
-            prev_plan,
-            prev,
-            module,
-            opts,
-            ctx_plan,
+        let program = generate_spliced(module, input.ctx_plan, input.blocks);
+        let warm = input.prev.map(|prev| {
+            let prev_program = generate_spliced(prev.module, prev.plan, prev.blocks);
+            let diff = ConstraintDiff::compute(prev.module, &prev_program, module, &program);
+            (prev.state, diff)
+        });
+        let capture = input.capture.then(|| module.fingerprint());
+        let (result, state) = Solver::new(module, program, opts.clone()).solve_from(
+            warm.as_ref().map(|(state, diff)| (*state, diff)),
+            capture,
             obs,
-            None,
-            None,
-        )
-    }
-
-    /// [`Analysis::try_run_incremental`] with pre-recorded frontend blocks
-    /// for the previous and current revisions. Both generations (the
-    /// previous program regenerated for diffing, and the new program)
-    /// splice their blocks when given.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_run_incremental_fe(
-        prev_module: &Module,
-        prev_plan: Option<&CtxPlan>,
-        prev: &SolvedState,
-        module: &Module,
-        opts: &SolveOptions,
-        ctx_plan: Option<&CtxPlan>,
-        obs: &mut dyn SolverObserver,
-        prev_blocks: Option<&ModuleBlocks>,
-        blocks: Option<&ModuleBlocks>,
-    ) -> Result<(Analysis, Option<SolvedState>), SolveError> {
-        let prev_program = generate_spliced(prev_module, prev_plan, prev_blocks);
-        let program = generate_spliced(module, ctx_plan, blocks);
-        let diff = ConstraintDiff::compute(prev_module, &prev_program, module, &program);
-        let (result, state) = Solver::new(module, program, opts.clone())
-            .try_resolve_incremental_captured(module.fingerprint(), prev, &diff, obs)?;
+        )?;
         Ok((Analysis { result }, state))
     }
 

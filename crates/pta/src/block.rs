@@ -8,9 +8,9 @@
 //! against a [`NodeTable`](crate::node::NodeTable) performs exactly the same
 //! primitive-call sequence as [`gen::generate`](crate::gen::generate) would
 //! for that function, so splicing cached blocks for unchanged functions into
-//! a fresh generation run yields a byte-identical [`Program`]
-//! (crate::gen::Program) — the invariant the frontend cache's differential
-//! tests pin.
+//! a fresh generation run yields a byte-identical
+//! [`Program`](crate::gen::Program) — the invariant the frontend cache's
+//! differential tests pin.
 //!
 //! Blocks are *plan-free*: the context-sensitivity bypass of
 //! [`CtxPlan`] rewrites both a planned function's own body (skipped stores,
@@ -711,32 +711,28 @@ pub fn encode_block(w: &mut ByteWriter, b: &FuncBlock) {
                 encode_ref(w, *fnptr);
                 w.uint(args.len() as u64);
                 for a in args {
-                    match a {
-                        None => w.u8(0),
-                        Some(r) => {
-                            w.u8(1);
-                            encode_ref(w, *r);
-                        }
-                    }
+                    encode_opt_ref(w, *a);
                 }
-                match dst {
-                    None => w.u8(0),
-                    Some(r) => {
-                        w.u8(1);
-                        encode_ref(w, *r);
-                    }
-                }
+                encode_opt_ref(w, *dst);
             }
+        }
+    }
+}
+
+fn encode_opt_ref(w: &mut ByteWriter, r: Option<SymRef>) {
+    match r {
+        None => w.u8(0),
+        Some(r) => {
+            w.u8(1);
+            encode_ref(w, r);
         }
     }
 }
 
 /// Decode a [`FuncBlock`] previously written by [`encode_block`].
 pub fn decode_block(r: &mut ByteReader<'_>) -> Result<FuncBlock, CodecError> {
-    let n = r.uint()? as usize;
-    let mut ops = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let op = match r.u8()? {
+    let ops = r.list(|r| {
+        Ok(match r.u8()? {
             0 => BlockOp::Obj {
                 site: decode_site(r)?,
                 ty: decode_opt_ty(r)?,
@@ -746,35 +742,24 @@ pub fn decode_block(r: &mut ByteReader<'_>) -> Result<FuncBlock, CodecError> {
                 kind: decode_kind(r)?,
                 origin: decode_origin(r)?,
             },
-            3 => {
-                let site = decode_loc(r)?;
-                let fnptr = decode_ref(r)?;
-                let na = r.uint()? as usize;
-                let mut args = Vec::with_capacity(na.min(1 << 16));
-                for _ in 0..na {
-                    args.push(match r.u8()? {
-                        0 => None,
-                        1 => Some(decode_ref(r)?),
-                        _ => return Err(bad("bad option tag")),
-                    });
-                }
-                let dst = match r.u8()? {
-                    0 => None,
-                    1 => Some(decode_ref(r)?),
-                    _ => return Err(bad("bad option tag")),
-                };
-                BlockOp::ICall {
-                    site,
-                    fnptr,
-                    args,
-                    dst,
-                }
-            }
+            3 => BlockOp::ICall {
+                site: decode_loc(r)?,
+                fnptr: decode_ref(r)?,
+                args: r.list(decode_opt_ref)?,
+                dst: decode_opt_ref(r)?,
+            },
             _ => return Err(bad("bad op tag")),
-        };
-        ops.push(op);
-    }
+        })
+    })?;
     Ok(FuncBlock { ops })
+}
+
+fn decode_opt_ref(r: &mut ByteReader<'_>) -> Result<Option<SymRef>, CodecError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(decode_ref(r)?)),
+        _ => Err(bad("bad option tag")),
+    }
 }
 
 #[cfg(test)]
@@ -832,6 +817,17 @@ mod tests {
                 "cut at {cut} decoded"
             );
         }
+    }
+
+    #[test]
+    fn oversized_counts_are_errors_not_allocations() {
+        // 2^40 ops.
+        let huge_ops = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x20];
+        assert!(FuncBlock::from_bytes(&huge_ops).is_err());
+        // One indirect call (site 0:0:0, fnptr self-local 0) claiming 2^40
+        // arguments.
+        let huge_args = [1u8, 3, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+        assert!(FuncBlock::from_bytes(&huge_args).is_err());
     }
 
     #[test]

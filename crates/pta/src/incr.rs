@@ -29,7 +29,9 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use kaleidoscope_ir::{BlockId, FuncId, InstLoc, LocalId, Module};
+use kaleidoscope_ir::{
+    BlockId, ByteReader, ByteWriter, CodecError, FuncId, InstLoc, LocalId, Module,
+};
 
 use crate::gen::{ConstraintKind, CopyProvenance, IndirectCall, Program};
 use crate::node::{NodeId, NodeKind, ObjId, ObjSite};
@@ -87,9 +89,11 @@ pub struct SolvedState {
     /// Node count of the generated program (the gen/solver-created split).
     pub gen_len: u32,
     created: Vec<CreatedNode>,
-    /// Final representative of every node (union-find at fixpoint,
-    /// flattened: losers point directly at their final representative).
-    rep_of: Vec<u32>,
+    /// The union-find at fixpoint, sparse: `(loser, final representative)`
+    /// in ascending loser order. Every other node represents itself. Kept
+    /// sparse so a decoded snapshot allocates by its byte length, never by
+    /// the node count it claims.
+    losers: Vec<(u32, u32)>,
     /// Per live representative: index into `pts_sets`. Watch-mode corpora
     /// show heavy set sharing at the fixpoint (copy meshes converge many
     /// nodes onto identical sets), so sets are interned — capture,
@@ -115,8 +119,9 @@ pub struct SolvedState {
 impl SolvedState {
     /// Capture the state of a solver that just converged. Returns `None`
     /// when the arena contains a node shape the replay cannot reproduce
-    /// (defensive; does not occur with the current solver).
-    pub(crate) fn capture(solver: &Solver<'_>, fingerprint: u64) -> Option<SolvedState> {
+    /// (defensive; does not occur with the current solver). Flattens the
+    /// solver's union-find, which leaves every `find` unchanged.
+    pub(crate) fn capture(solver: &mut Solver<'_>, fingerprint: u64) -> Option<SolvedState> {
         let n = solver.nodes.len();
         let gen_len = solver.gen_node_len;
         let mut created = Vec::with_capacity(n - gen_len);
@@ -134,9 +139,9 @@ impl SolvedState {
                 _ => return None,
             }
         }
-        let rep_of: Vec<u32> = (0..n as u32)
-            .map(|i| solver.nodes.find_ref(NodeId(i)).0)
-            .collect();
+        solver.nodes.flatten();
+        let solver = &*solver;
+        let rep_of = solver.nodes.reps();
         // Canonicalize members through the flattened table (not per-member
         // union-find walks) and intern duplicate sets: at a mesh-heavy
         // fixpoint the same set recurs thousands of times, and everything
@@ -221,12 +226,25 @@ impl SolvedState {
             fids.dedup();
             icall_wired.push(fids);
         }
+        // Every loser was recorded by the merge that made it one.
+        let mut losers = Vec::with_capacity(solver.nodes.merged().len());
+        losers.extend(
+            solver
+                .nodes
+                .merged()
+                .iter()
+                .map(|l| (l.0, rep_of[l.index()])),
+        );
+        debug_assert!(rep_of
+            .iter()
+            .enumerate()
+            .all(|(i, &r)| i as u32 == r || losers.binary_search(&(i as u32, r)).is_ok()));
         Some(SolvedState {
             fingerprint,
             opts_key: solver.opts.cache_key(),
             gen_len: gen_len as u32,
             created,
-            rep_of,
+            losers,
             pts,
             pts_sets,
             copy_edges,
@@ -240,123 +258,96 @@ impl SolvedState {
 
     /// Total node count of the captured arena.
     pub fn node_count(&self) -> usize {
-        self.rep_of.len()
+        self.gen_len as usize + self.created.len()
     }
 
     /// Serialize to a stable binary blob (for the on-disk snapshot store).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.rep_of.len() * 2);
-        out.extend_from_slice(&STATE_MAGIC);
-        put_u32(&mut out, INCR_STATE_VERSION);
-        put_u32(&mut out, crate::PTS_REPR_VERSION);
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.opts_key.to_le_bytes());
-        put_u32(&mut out, self.gen_len);
-        put_u32(&mut out, self.created.len() as u32);
+        let mut w = ByteWriter::new();
+        w.raw(&STATE_MAGIC);
+        w.uint(INCR_STATE_VERSION.into());
+        w.uint(crate::PTS_REPR_VERSION.into());
+        w.raw(&self.fingerprint.to_le_bytes());
+        w.raw(&self.opts_key.to_le_bytes());
+        w.uint(self.gen_len.into());
+        w.uint(self.created.len() as u64);
         for c in &self.created {
             match *c {
                 CreatedNode::Field { parent, idx } => {
-                    out.push(0);
-                    put_u32(&mut out, parent);
-                    put_u32(&mut out, idx);
+                    w.u8(0);
+                    w.uint(parent.into());
+                    w.uint(idx.into());
                 }
                 CreatedNode::Local { func, local } => {
-                    out.push(1);
-                    put_u32(&mut out, func);
-                    put_u32(&mut out, local);
+                    w.u8(1);
+                    w.uint(func.into());
+                    w.uint(local.into());
                 }
                 CreatedNode::Ret { func } => {
-                    out.push(2);
-                    put_u32(&mut out, func);
+                    w.u8(2);
+                    w.uint(func.into());
                 }
             }
         }
-        // Union-find: only the non-trivial entries.
-        let losers: Vec<(u32, u32)> = self
-            .rep_of
-            .iter()
-            .enumerate()
-            .filter(|&(i, &r)| i as u32 != r)
-            .map(|(i, &r)| (i as u32, r))
-            .collect();
-        put_u32(&mut out, self.rep_of.len() as u32);
-        put_u32(&mut out, losers.len() as u32);
-        for (i, r) in losers {
-            put_u32(&mut out, i);
-            put_u32(&mut out, r);
-        }
-        put_u32(&mut out, self.pts_sets.len() as u32);
+        w.uint(self.node_count() as u64);
+        put_pairs(&mut w, &self.losers);
+        w.uint(self.pts_sets.len() as u64);
         for members in &self.pts_sets {
-            put_u32(&mut out, members.len() as u32);
+            w.uint(members.len() as u64);
             let mut prev = 0u32;
             for &m in members {
                 // Sorted ascending: delta-encode for compactness.
-                put_u32(&mut out, m.wrapping_sub(prev));
+                w.uint(m.wrapping_sub(prev).into());
                 prev = m;
             }
         }
-        put_u32(&mut out, self.pts.len() as u32);
-        for &(rep, set) in &self.pts {
-            put_u32(&mut out, rep);
-            put_u32(&mut out, set);
-        }
-        put_u32(&mut out, self.copy_edges.len() as u32);
-        for &(a, b) in &self.copy_edges {
-            put_u32(&mut out, a);
-            put_u32(&mut out, b);
-        }
-        put_u32(&mut out, self.degraded.len() as u32);
-        for &c in &self.degraded {
-            put_u32(&mut out, c);
-        }
-        put_u32(&mut out, self.pa_events.len() as u32);
+        put_pairs(&mut w, &self.pts);
+        put_pairs(&mut w, &self.copy_edges);
+        put_ids(&mut w, &self.degraded);
+        w.uint(self.pa_events.len() as u64);
         for &(loc, obj) in &self.pa_events {
-            put_loc(&mut out, loc);
-            put_u32(&mut out, obj);
+            put_loc(&mut w, loc);
+            w.uint(obj.into());
         }
-        put_u32(&mut out, self.pwc_events.len() as u32);
+        w.uint(self.pwc_events.len() as u64);
         for (members, locs) in &self.pwc_events {
-            put_u32(&mut out, members.len() as u32);
-            for &m in members {
-                put_u32(&mut out, m);
-            }
-            put_u32(&mut out, locs.len() as u32);
+            put_ids(&mut w, members);
+            w.uint(locs.len() as u64);
             for &l in locs {
-                put_loc(&mut out, l);
+                put_loc(&mut w, l);
             }
         }
-        put_u32(&mut out, self.collapsed.len() as u32);
-        for &o in &self.collapsed {
-            put_u32(&mut out, o);
-        }
-        put_u32(&mut out, self.icall_wired.len() as u32);
+        put_ids(&mut w, &self.collapsed);
+        w.uint(self.icall_wired.len() as u64);
         for fids in &self.icall_wired {
-            put_u32(&mut out, fids.len() as u32);
-            for &f in fids {
-                put_u32(&mut out, f);
-            }
+            put_ids(&mut w, fids);
         }
-        out
+        w.into_bytes()
     }
 
     /// Decode a snapshot. Returns `None` on truncation, version skew, or
     /// structurally invalid indices — the caller treats all three as "no
-    /// previous state" and solves from scratch.
+    /// previous state" and solves from scratch. Every allocation is bounded
+    /// by the input length: node ids are only range-checked here, and the
+    /// claimed node count is only trusted once a restore has matched it
+    /// against a real program.
     pub fn from_bytes(bytes: &[u8]) -> Option<SolvedState> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(4)? != STATE_MAGIC {
-            return None;
+        Self::decode(&mut ByteReader::new(bytes)).ok()
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<SolvedState, CodecError> {
+        let invalid = || CodecError("invalid snapshot".into());
+        if r.raw(4)? != STATE_MAGIC
+            || r.u32()? != INCR_STATE_VERSION
+            || r.u32()? != crate::PTS_REPR_VERSION
+        {
+            return Err(invalid());
         }
-        if r.u32()? != INCR_STATE_VERSION || r.u32()? != crate::PTS_REPR_VERSION {
-            return None;
-        }
-        let fingerprint = r.u64_le()?;
-        let opts_key = r.u64_le()?;
+        let fingerprint = get_u64_le(r)?;
+        let opts_key = get_u64_le(r)?;
         let gen_len = r.u32()?;
-        let ncreated = r.u32()? as usize;
-        let mut created = Vec::with_capacity(ncreated.min(1 << 20));
-        for _ in 0..ncreated {
-            created.push(match r.byte()? {
+        let created = r.list(|r| {
+            Ok(match r.u8()? {
                 0 => CreatedNode::Field {
                     parent: r.u32()?,
                     idx: r.u32()?,
@@ -366,108 +357,43 @@ impl SolvedState {
                     local: r.u32()?,
                 },
                 2 => CreatedNode::Ret { func: r.u32()? },
-                _ => return None,
-            });
+                _ => return Err(invalid()),
+            })
+        })?;
+        let total = r.uint()?;
+        if total != u64::from(gen_len) + created.len() as u64 {
+            return Err(invalid());
         }
-        let total = r.u32()? as usize;
-        if total != gen_len as usize + created.len() {
-            return None;
-        }
-        let mut rep_of: Vec<u32> = (0..total as u32).collect();
-        for _ in 0..r.u32()? {
-            let i = r.u32()? as usize;
-            let rep = r.u32()?;
-            if i >= total || rep as usize >= total {
-                return None;
+        let below = |v: u32, bound: u64| {
+            if u64::from(v) < bound {
+                Ok(v)
+            } else {
+                Err(invalid())
             }
-            rep_of[i] = rep;
-        }
-        let nsets = r.u32()? as usize;
-        let mut pts_sets = Vec::with_capacity(nsets.min(1 << 20));
-        for _ in 0..nsets {
-            let nm = r.u32()? as usize;
-            let mut members = Vec::with_capacity(nm.min(1 << 20));
+        };
+        let node = |r: &mut ByteReader<'_>| below(r.u32()?, total);
+        let losers = r.list(|r| Ok((node(r)?, node(r)?)))?;
+        let pts_sets = r.list(|r| {
             let mut prev = 0u32;
-            for _ in 0..nm {
-                prev = prev.wrapping_add(r.u32()?);
-                if prev as usize >= total {
-                    return None;
-                }
-                members.push(prev);
-            }
-            pts_sets.push(members);
-        }
-        let npts = r.u32()? as usize;
-        let mut pts = Vec::with_capacity(npts.min(1 << 20));
-        for _ in 0..npts {
-            let rep = r.u32()?;
-            let set = r.u32()?;
-            if rep as usize >= total || set as usize >= pts_sets.len() {
-                return None;
-            }
-            pts.push((rep, set));
-        }
-        let nce = r.u32()? as usize;
-        let mut copy_edges = Vec::with_capacity(nce.min(1 << 20));
-        for _ in 0..nce {
-            let a = r.u32()?;
-            let b = r.u32()?;
-            if a as usize >= total || b as usize >= total {
-                return None;
-            }
-            copy_edges.push((a, b));
-        }
-        let nd = r.u32()? as usize;
-        let mut degraded = Vec::with_capacity(nd.min(1 << 20));
-        for _ in 0..nd {
-            degraded.push(r.u32()?);
-        }
-        let npa = r.u32()? as usize;
-        let mut pa_events = Vec::with_capacity(npa.min(1 << 20));
-        for _ in 0..npa {
-            let loc = r.loc()?;
-            pa_events.push((loc, r.u32()?));
-        }
-        let npwc = r.u32()? as usize;
-        let mut pwc_events = Vec::with_capacity(npwc.min(1 << 20));
-        for _ in 0..npwc {
-            let nm = r.u32()? as usize;
-            let mut members = Vec::with_capacity(nm.min(1 << 20));
-            for _ in 0..nm {
-                let m = r.u32()?;
-                if m as usize >= total {
-                    return None;
-                }
-                members.push(m);
-            }
-            let nl = r.u32()? as usize;
-            let mut locs = Vec::with_capacity(nl.min(1 << 20));
-            for _ in 0..nl {
-                locs.push(r.loc()?);
-            }
-            pwc_events.push((members, locs));
-        }
-        let nco = r.u32()? as usize;
-        let mut collapsed = Vec::with_capacity(nco.min(1 << 20));
-        for _ in 0..nco {
-            collapsed.push(r.u32()?);
-        }
-        let nic = r.u32()? as usize;
-        let mut icall_wired = Vec::with_capacity(nic.min(1 << 20));
-        for _ in 0..nic {
-            let nf = r.u32()? as usize;
-            let mut fids = Vec::with_capacity(nf.min(1 << 20));
-            for _ in 0..nf {
-                fids.push(r.u32()?);
-            }
-            icall_wired.push(fids);
-        }
-        Some(SolvedState {
+            r.list(|r| {
+                prev = below(prev.wrapping_add(r.u32()?), total)?;
+                Ok(prev)
+            })
+        })?;
+        let n_sets = pts_sets.len() as u64;
+        let pts = r.list(|r| Ok((node(r)?, below(r.u32()?, n_sets)?)))?;
+        let copy_edges = r.list(|r| Ok((node(r)?, node(r)?)))?;
+        let degraded = r.list(ByteReader::u32)?;
+        let pa_events = r.list(|r| Ok((get_loc(r)?, r.u32()?)))?;
+        let pwc_events = r.list(|r| Ok((r.list(node)?, r.list(get_loc)?)))?;
+        let collapsed = r.list(ByteReader::u32)?;
+        let icall_wired = r.list(|r| r.list(ByteReader::u32))?;
+        Ok(SolvedState {
             fingerprint,
             opts_key,
             gen_len,
             created,
-            rep_of,
+            losers,
             pts,
             pts_sets,
             copy_edges,
@@ -480,69 +406,34 @@ impl SolvedState {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
+fn get_u64_le(r: &mut ByteReader<'_>) -> Result<u64, CodecError> {
+    let mut le = [0u8; 8];
+    le.copy_from_slice(r.raw(8)?);
+    Ok(u64::from_le_bytes(le))
+}
+
+fn put_loc(w: &mut ByteWriter, loc: InstLoc) {
+    w.uint(loc.func.0.into());
+    w.uint(loc.block.0.into());
+    w.uint(loc.inst.into());
+}
+
+fn get_loc(r: &mut ByteReader<'_>) -> Result<InstLoc, CodecError> {
+    Ok(InstLoc::new(FuncId(r.u32()?), BlockId(r.u32()?), r.u32()?))
+}
+
+fn put_ids(w: &mut ByteWriter, ids: &[u32]) {
+    w.uint(ids.len() as u64);
+    for &id in ids {
+        w.uint(id.into());
     }
 }
 
-fn put_loc(out: &mut Vec<u8>, loc: InstLoc) {
-    put_u32(out, loc.func.0);
-    put_u32(out, loc.block.0);
-    put_u32(out, loc.inst);
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn byte(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let mut v = 0u32;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte()?;
-            if shift >= 32 {
-                return None;
-            }
-            v |= ((b & 0x7f) as u32) << shift;
-            if b & 0x80 == 0 {
-                return Some(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn u64_le(&mut self) -> Option<u64> {
-        let s = self.take(8)?;
-        Some(u64::from_le_bytes(s.try_into().ok()?))
-    }
-
-    fn loc(&mut self) -> Option<InstLoc> {
-        Some(InstLoc::new(
-            FuncId(self.u32()?),
-            BlockId(self.u32()?),
-            self.u32()?,
-        ))
+fn put_pairs(w: &mut ByteWriter, pairs: &[(u32, u32)]) {
+    w.uint(pairs.len() as u64);
+    for &(a, b) in pairs {
+        w.uint(a.into());
+        w.uint(b.into());
     }
 }
 
@@ -805,50 +696,19 @@ impl<'m> Solver<'m> {
     /// fixpoint rather than the `max_passes` valve). `fingerprint` tags
     /// the snapshot with the solved module revision.
     pub fn try_solve_captured(
-        mut self,
+        self,
         fingerprint: u64,
         obs: &mut dyn SolverObserver,
     ) -> Result<(SolveResult, Option<SolvedState>), SolveError> {
-        let start = Instant::now();
-        self.prepare(start);
-        self.init(obs);
-        let converged = self.run_loop(start, obs)?;
-        let state = if converged {
-            SolvedState::capture(&self, fingerprint)
-        } else {
-            None
-        };
-        Ok((self.finish(), state))
-    }
-
-    /// Incremental re-solve, panicking on budget exhaustion (mirrors
-    /// [`Solver::solve`]). See [`Solver::try_resolve_incremental`].
-    pub fn resolve_incremental(
-        self,
-        prev: &SolvedState,
-        diff: &ConstraintDiff,
-        obs: &mut dyn SolverObserver,
-    ) -> SolveResult {
-        self.try_resolve_incremental(prev, diff, obs)
-            .unwrap_or_else(|e| panic!("likely divergence: {e}"))
+        self.solve_from(None, Some(fingerprint), obs)
     }
 
     /// Warm-start from a previous fixpoint: restore the captured state
     /// translated onto this solver's arena and seed the worklist with only
     /// the nodes the edit touched. Falls back to a sound full solve (and
     /// sets `SolveStats::incr_fallback_full`) when the diff or state is
-    /// incompatible.
-    pub fn try_resolve_incremental(
-        self,
-        prev: &SolvedState,
-        diff: &ConstraintDiff,
-        obs: &mut dyn SolverObserver,
-    ) -> Result<SolveResult, SolveError> {
-        Ok(self.resolve_incremental_core(None, prev, diff, obs)?.0)
-    }
-
-    /// [`Solver::try_resolve_incremental`] plus snapshot capture of the
-    /// *new* fixpoint, for chained watch-mode edits.
+    /// incompatible. Captures the *new* fixpoint, tagged `fingerprint`, for
+    /// chained watch-mode edits.
     pub fn try_resolve_incremental_captured(
         self,
         fingerprint: u64,
@@ -856,38 +716,41 @@ impl<'m> Solver<'m> {
         diff: &ConstraintDiff,
         obs: &mut dyn SolverObserver,
     ) -> Result<(SolveResult, Option<SolvedState>), SolveError> {
-        self.resolve_incremental_core(Some(fingerprint), prev, diff, obs)
+        self.solve_from(Some((prev, diff)), Some(fingerprint), obs)
     }
 
-    fn resolve_incremental_core(
+    /// The one solve driver behind every entry point: warm-start from
+    /// `warm` when given (a full solve when absent or incompatible), and
+    /// capture a snapshot tagged `capture` when the solve converges.
+    pub(crate) fn solve_from(
         mut self,
-        capture_fp: Option<u64>,
-        prev: &SolvedState,
-        diff: &ConstraintDiff,
+        warm: Option<(&SolvedState, &ConstraintDiff)>,
+        capture: Option<u64>,
         obs: &mut dyn SolverObserver,
     ) -> Result<(SolveResult, Option<SolvedState>), SolveError> {
         let start = Instant::now();
         self.prepare(start);
-        let compatible = diff.fallback.is_none()
-            && prev.opts_key == self.opts.cache_key()
-            && prev.gen_len as usize == diff.node_map.len()
-            && self.try_restore(prev, diff).is_ok();
-        if compatible {
-            self.stats.incr_reused = prev.rep_of.len();
-            self.init_incremental(diff, obs);
-            self.stats.incr_seeded_nodes = self.queued.iter().filter(|&&q| q).count();
-        } else {
-            self.stats.incr_fallback_full = 1;
-            // A failed restore may have replayed part of the created-node
-            // suffix. Those nodes carry no constraints or points-to state;
-            // at worst the full solve finds them pre-materialized in the
-            // field memo, which does not change the canonical result.
-            self.ensure_capacity();
-            self.init(obs);
+        match warm {
+            Some((prev, diff)) if self.try_restore(prev, diff).is_ok() => {
+                self.stats.incr_reused = prev.node_count();
+                self.init_incremental(diff, obs);
+                self.stats.incr_seeded_nodes = self.queued.iter().filter(|&&q| q).count();
+            }
+            Some(_) => {
+                self.stats.incr_fallback_full = 1;
+                // A failed restore may have replayed part of the
+                // created-node suffix. Those nodes carry no constraints or
+                // points-to state; at worst the full solve finds them
+                // pre-materialized in the field memo, which does not
+                // change the canonical result.
+                self.ensure_capacity();
+                self.init(obs);
+            }
+            None => self.init(obs),
         }
         let converged = self.run_loop(start, obs)?;
-        let state = match capture_fp {
-            Some(fp) if converged => SolvedState::capture(&self, fp),
+        let state = match capture {
+            Some(fp) if converged => SolvedState::capture(&mut self, fp),
             _ => None,
         };
         Ok((self.finish(), state))
@@ -897,11 +760,21 @@ impl<'m> Solver<'m> {
     /// and replays run before any derived state (points-to sets, copy
     /// edges, events) is written, so an `Err` leaves the solver safe for a
     /// from-scratch `init` — the only residue is pre-materialized nodes.
+    /// The snapshot must come from a solve under the same options, and the
+    /// diff must be compatible (the previous program a prefix of this
+    /// one) and sized to the snapshot's generated arena.
     fn try_restore(&mut self, prev: &SolvedState, diff: &ConstraintDiff) -> Result<(), ()> {
-        let gen_len = prev.gen_len as usize;
-        let total = gen_len + prev.created.len();
-        if prev.rep_of.len() != total
-            || prev.rep_of.iter().any(|&r| r as usize >= total)
+        if diff.fallback.is_some()
+            || prev.opts_key != self.opts.cache_key()
+            || prev.gen_len as usize != diff.node_map.len()
+        {
+            return Err(());
+        }
+        let total = prev.node_count();
+        if prev
+            .losers
+            .iter()
+            .any(|&(i, r)| i as usize >= total || r as usize >= total)
             || prev
                 .pts
                 .iter()
@@ -956,10 +829,8 @@ impl<'m> Solver<'m> {
         // Union-find merges: every loser was captured pointing directly at
         // its final representative, so one merge each replays the exact
         // condensation (representatives never lose).
-        for (i, &r) in prev.rep_of.iter().enumerate() {
-            if r as usize != i {
-                self.nodes.merge(map[i], map[r as usize]);
-            }
+        for &(i, r) in &prev.losers {
+            self.nodes.merge(map[i as usize], map[r as usize]);
         }
         // Collapsed-object flags and events.
         for &po in &prev.collapsed {
@@ -1362,5 +1233,39 @@ mod tests {
             assert!(SolvedState::from_bytes(&bytes[..cut]).is_none());
         }
         assert!(SolvedState::from_bytes(b"XXXX").is_none());
+    }
+
+    #[test]
+    fn oversized_node_count_fails_closed() {
+        // Magic, both versions, a zero fingerprint and options key, then
+        // `gen_len = total = 0xFFFF_FFF0` with no created nodes: a decoder
+        // that sized the union-find by `total` would abort on a 16 GiB
+        // allocation here.
+        let mut w = ByteWriter::new();
+        w.raw(&STATE_MAGIC);
+        w.uint(INCR_STATE_VERSION.into());
+        w.uint(crate::PTS_REPR_VERSION.into());
+        w.raw(&[0; 16]);
+        w.uint(0xFFFF_FFF0);
+        w.uint(0);
+        w.uint(0xFFFF_FFF0);
+        let head = w.into_bytes();
+        assert_eq!(head.len(), 33);
+        assert!(SolvedState::from_bytes(&head).is_none(), "truncated");
+
+        // Completed with nine empty lists it decodes — ids are only
+        // range-checked — but a restore never trusts the claimed count:
+        // the warm start falls back to a full solve.
+        let mut full = head;
+        full.extend_from_slice(&[0; 9]);
+        let mut state = SolvedState::from_bytes(&full).expect("decodes");
+        assert_eq!(state.node_count(), 0xFFFF_FFF0);
+        let opts = SolveOptions::baseline();
+        state.opts_key = opts.cache_key();
+        let v1 = base_module();
+        let (warm, _) = solve_incr(&v1, &state, &v1, &opts);
+        assert_eq!(warm.stats.incr_fallback_full, 1);
+        let (cold, _) = solve_cold(&v1, &opts);
+        assert_eq!(canon_pts(&v1, &cold), canon_pts(&v1, &warm));
     }
 }

@@ -81,7 +81,7 @@ pub mod steens;
 /// pending, exactly as it started with a zero delta before.
 pub const PTS_REPR_VERSION: u32 = 4;
 
-pub use analysis::Analysis;
+pub use analysis::{Analysis, PrevRevision, SolveInput};
 pub use block::{build_func_block, plan_affected, FuncBlock, ModuleBlocks};
 pub use callgraph::CallGraph;
 pub use ctxplan::{ChainStep, CriticalFlow, CtxPlan};

@@ -193,6 +193,19 @@ impl NodeTable {
         NodeId(x)
     }
 
+    /// Point every node directly at its representative, so that entry `i`
+    /// of [`NodeTable::reps`] is `find(i)`.
+    pub(crate) fn flatten(&mut self) {
+        for i in 0..self.rep.len() {
+            self.rep[i] = self.find_ref(NodeId(i as u32)).0;
+        }
+    }
+
+    /// The union-find parent table (flat after [`NodeTable::flatten`]).
+    pub(crate) fn reps(&self) -> &[u32] {
+        &self.rep
+    }
+
     /// Union-find lookup without path compression (no `&mut` needed).
     pub fn find_ref(&self, n: NodeId) -> NodeId {
         let mut x = n.0;

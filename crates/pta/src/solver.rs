@@ -396,7 +396,8 @@ fn two_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
 ///
 /// Fields are `pub(crate)` so the incremental module (`crate::incr`) can
 /// capture and restore solved state; external callers go through the
-/// public `solve`/`try_solve`/`resolve_incremental` entry points.
+/// public `try_solve`/`try_solve_captured`/`try_resolve_incremental_captured`
+/// entry points, or through [`crate::Analysis::solve`].
 #[derive(Debug)]
 pub struct Solver<'m> {
     pub(crate) module: &'m Module,
@@ -540,28 +541,13 @@ impl<'m> Solver<'m> {
         }
     }
 
-    /// Run the analysis to fixpoint, panicking if the budget is exhausted.
-    ///
-    /// With the default (effectively unlimited) budget this behaves exactly
-    /// like the historic API; callers that thread real budgets should use
-    /// [`Solver::try_solve`] and handle the typed error.
-    pub fn solve(self, obs: &mut dyn SolverObserver) -> SolveResult {
-        self.try_solve(obs)
-            .unwrap_or_else(|e| panic!("likely divergence: {e}"))
-    }
-
     /// Run the analysis to fixpoint, aborting with a typed error when the
     /// [`SolveBudget`] is exhausted.
-    pub fn try_solve(mut self, obs: &mut dyn SolverObserver) -> Result<SolveResult, SolveError> {
-        let start = Instant::now();
-        self.prepare(start);
-        self.init(obs);
-        self.run_loop(start, obs)?;
-        Ok(self.finish())
+    pub fn try_solve(self, obs: &mut dyn SolverObserver) -> Result<SolveResult, SolveError> {
+        Ok(self.solve_from(None, None, obs)?.0)
     }
 
-    /// Stamp the pre-solve statistics and arm the deadline. Shared by the
-    /// from-scratch and incremental entry points.
+    /// Stamp the pre-solve statistics and arm the deadline.
     pub(crate) fn prepare(&mut self, start: Instant) {
         self.deadline_at = self.opts.budget.deadline.map(|d| start + d);
         self.stats.constraint_count = self.constraints.len();
@@ -1401,7 +1387,9 @@ mod tests {
 
     fn solve(m: &Module, opts: SolveOptions) -> SolveResult {
         let program = generate(m, None);
-        Solver::new(m, program, opts).solve(&mut NullObserver)
+        Solver::new(m, program, opts)
+            .try_solve(&mut NullObserver)
+            .expect("unbudgeted")
     }
 
     fn local_pts(m: &Module, r: &SolveResult, func: &str, local: u32) -> PtsSet {

@@ -16,7 +16,9 @@
 
 use kaleidoscope_fuzz::edit::{edit_script, edit_script_with_removal, EditKind};
 use kaleidoscope_ir::{LocalId, Module};
-use kaleidoscope_pta::{Analysis, NullObserver, SolveOptions, SolvedState};
+use kaleidoscope_pta::{
+    Analysis, NullObserver, PrevRevision, SolveInput, SolveOptions, SolvedState,
+};
 
 /// Canonical per-local points-to listing, independent of solve schedule.
 fn canon(m: &Module, a: &Analysis) -> Vec<(String, Vec<String>)> {
@@ -36,8 +38,11 @@ fn canon(m: &Module, a: &Analysis) -> Vec<(String, Vec<String>)> {
 }
 
 fn cold(m: &Module, opts: &SolveOptions) -> (Analysis, SolvedState) {
-    let (a, state) =
-        Analysis::try_run_captured(m, opts, None, &mut NullObserver).expect("no budget");
+    let input = SolveInput {
+        capture: true,
+        ..SolveInput::default()
+    };
+    let (a, state) = Analysis::solve(m, opts, input, &mut NullObserver).expect("no budget");
     (a, state.expect("converged solve captures"))
 }
 
@@ -48,16 +53,18 @@ fn walk_script(script: &[kaleidoscope_fuzz::edit::EditStep], opts: &SolveOptions
     let (_, mut state) = cold(&script[0].module, opts);
     let mut prev_module = &script[0].module;
     for (i, step) in script.iter().enumerate().skip(1) {
-        let (warm, next_state) = Analysis::try_run_incremental(
-            prev_module,
-            None,
-            &state,
-            &step.module,
-            opts,
-            None,
-            &mut NullObserver,
-        )
-        .expect("no budget");
+        let input = SolveInput {
+            prev: Some(PrevRevision {
+                module: prev_module,
+                plan: None,
+                blocks: None,
+                state: &state,
+            }),
+            capture: true,
+            ..SolveInput::default()
+        };
+        let (warm, next_state) =
+            Analysis::solve(&step.module, opts, input, &mut NullObserver).expect("no budget");
         let stats = &warm.result.stats;
         match step.kind {
             EditKind::Append => {

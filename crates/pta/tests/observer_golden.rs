@@ -13,7 +13,7 @@
 use kaleidoscope::{ctx_plan_for, PolicyConfig};
 use kaleidoscope_ir::Module;
 use kaleidoscope_pta::{
-    Analysis, CtxPlan, NodeId, NodeTable, PtsSet, SolveOptions, SolverObserver,
+    Analysis, CtxPlan, NodeId, NodeTable, PtsSet, SolveInput, SolveOptions, SolverObserver,
 };
 
 const FNV: u64 = 0xcbf2_9ce4_8422_2325;
@@ -58,7 +58,11 @@ impl SolverObserver for Recorder {
 }
 
 fn solve(rec: &mut Recorder, module: &Module, opts: &SolveOptions, plan: Option<&CtxPlan>) {
-    Analysis::run_full(module, opts, plan, rec);
+    let input = SolveInput {
+        ctx_plan: plan,
+        ..SolveInput::default()
+    };
+    Analysis::solve(module, opts, input, rec).expect("unbudgeted");
 }
 
 #[test]

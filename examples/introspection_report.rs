@@ -10,7 +10,7 @@
 
 use kaleidoscope_suite::apps;
 use kaleidoscope_suite::kaleidoscope::{IntrospectionConfig, Introspector};
-use kaleidoscope_suite::pta::{Analysis, SolveOptions};
+use kaleidoscope_suite::pta::{Analysis, SolveInput, SolveOptions};
 
 fn main() {
     let model = apps::model("Libxml").expect("model exists");
@@ -26,7 +26,13 @@ fn main() {
         growth_threshold: 8,
         type_threshold: 4,
     });
-    let analysis = Analysis::run_full(&model.module, &SolveOptions::baseline(), None, &mut intro);
+    let (analysis, _) = Analysis::solve(
+        &model.module,
+        &SolveOptions::baseline(),
+        SolveInput::default(),
+        &mut intro,
+    )
+    .expect("unbudgeted solve");
     let report = intro.into_report();
     println!("{}", report.render(&model.module, &analysis.result.nodes));
 

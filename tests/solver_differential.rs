@@ -91,7 +91,7 @@ fn solve(module: &Module, opts: &SolveOptions, ctx_plan: Option<&CtxPlan>, fifo:
         solver = solver.use_fifo_worklist();
     }
     Analysis {
-        result: solver.solve(&mut NullObserver),
+        result: solver.try_solve(&mut NullObserver).expect("unbudgeted"),
     }
 }
 

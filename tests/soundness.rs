@@ -12,15 +12,11 @@
 
 use kaleidoscope_suite::apps;
 use kaleidoscope_suite::cfi::harden;
-use kaleidoscope_suite::kaleidoscope::{analyze, fallback_analysis, PolicyConfig};
-use kaleidoscope_suite::pta::steens_analysis;
+use kaleidoscope_suite::kaleidoscope::{analyze, PolicyConfig};
+use kaleidoscope_suite::pta::{steens_analysis, Analysis, SolveOptions};
 use kaleidoscope_suite::runtime::ViewKind;
 
-fn subset_sitewise(
-    precise: &kaleidoscope_suite::pta::Analysis,
-    coarse: &kaleidoscope_suite::pta::Analysis,
-    module: &kaleidoscope_suite::ir::Module,
-) {
+fn subset_sitewise(precise: &Analysis, coarse: &Analysis, module: &kaleidoscope_suite::ir::Module) {
     for (fid, f) in module.iter_funcs() {
         for l in 0..f.locals.len() as u32 {
             let lid = kaleidoscope_suite::ir::LocalId(l);
@@ -60,7 +56,7 @@ fn fallback_subset_of_steensgaard_for_all_apps() {
     let mut escapes = Vec::new();
     for model in apps::all_models() {
         let m = &model.module;
-        let fallback = fallback_analysis(m);
+        let fallback = Analysis::run(m, &SolveOptions::baseline());
         let steens = steens_analysis(m);
         for (fid, f) in m.iter_funcs() {
             for l in 0..f.locals.len() as u32 {
