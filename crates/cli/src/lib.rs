@@ -14,10 +14,10 @@ use kaleidoscope::{analyze, IntrospectionConfig, Introspector, PolicyConfig};
 use kaleidoscope_cfi::harden;
 use kaleidoscope_debloat::DebloatPlan;
 use kaleidoscope_exec::{
-    load_frontend, render_analyze, DiskCache, Executor, FrontendStats, ReportScope,
+    analyze_request, parse_error, verify, AnalyzeRequest, DiskCache, FrontendStats, Program,
 };
-use kaleidoscope_ir::{parse_module, verify_module, Module};
-use kaleidoscope_pta::{Analysis, SolveBudget, SolveInput, SolveOptions};
+use kaleidoscope_ir::{parse_module, Module};
+use kaleidoscope_pta::{Analysis, SolveInput, SolveOptions};
 use kaleidoscope_runtime::ViewKind;
 use kaleidoscope_serve::{
     Request, Response, ServeConfig, Server, ShardMode, TenantQuota, WorkerOptions,
@@ -62,24 +62,9 @@ pub fn load(source: &Source) -> Result<Module, CliError> {
                 kaleidoscope_cfront::compile(&text, &stem)
                     .map_err(|e| err(format!("in `{path}`: {e}")))?
             } else {
-                parse_module(&text).map_err(|e| {
-                    err(format!(
-                        "parse error in `{path}`: {e}\n{}",
-                        e.snippet(&text)
-                    ))
-                })?
+                parse_module(&text).map_err(|e| err(parse_error(&e, &text, Some(path))))?
             };
-            let problems = verify_module(&module);
-            if !problems.is_empty() {
-                return Err(err(format!(
-                    "`{path}` failed verification: {}",
-                    problems
-                        .iter()
-                        .map(|p| p.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                )));
-            }
+            verify(&module, Some(path)).map_err(err)?;
             Ok(module)
         }
         Source::Model(name) => kaleidoscope_apps::model(name)
@@ -93,14 +78,33 @@ pub fn load(source: &Source) -> Result<Module, CliError> {
     }
 }
 
+/// Parse a hex module fingerprint; `what` leads the error message.
+pub fn parse_fingerprint(hex: &str, what: &str) -> Result<u64, CliError> {
+    u64::from_str_radix(hex, 16).map_err(|_| err(format!("{what} `{hex}`")))
+}
+
 /// Parse a configuration name (`baseline`, `ctx`, `pa`, `pwc`, combinations
 /// joined by `-`, or `all`/`kaleidoscope`).
 pub fn parse_config(name: &str) -> Result<PolicyConfig, CliError> {
     PolicyConfig::parse(name).map_err(err)
 }
 
+/// The result of [`cmd_analyze_full`]: the printed report plus, for
+/// textual-IR sources, the frontend loader's counters (parse/generation
+/// time and per-function cache hits). The counters never appear in the
+/// report text — it stays byte-identical across cold and warm runs.
+pub struct AnalyzeOutput {
+    /// The analysis report.
+    pub report: String,
+    /// Frontend counters for textual-IR files; `None` for `.c` sources
+    /// and built-in models, which bypass the cached frontend.
+    pub frontend: Option<FrontendStats>,
+}
+
 /// `kaleidoscope analyze` — run the IGO pipeline, print invariants and
-/// points-to statistics for one configuration (or all eight).
+/// points-to statistics for one configuration (or all eight). The request
+/// runs through [`kaleidoscope_exec::analyze_request`], the path `kd serve`
+/// answers with too.
 ///
 /// `jobs` sets the executor's worker count (`0` = available parallelism);
 /// `1` forces the legacy serial path. The printed report is identical
@@ -128,9 +132,10 @@ pub fn parse_config(name: &str) -> Result<PolicyConfig, CliError> {
 /// evicted at publish time); `0`/`None` leaves it unbounded.
 ///
 /// `solver_threads` (`--solver-threads <n>`) is the thread count of the
-/// frontend body pass for textual-IR files (see [`cmd_analyze_full`]);
-/// every solve runs the sequential worklist schedule, so the report is the
-/// same at any count.
+/// frontend body pass for textual-IR files, whose per-function lowered
+/// IR and constraint blocks are cached in the store's `fe/` namespace
+/// (`.c` sources and built-in models skip that frontend). The report is
+/// the same at any count.
 ///
 /// `incremental_from` (`--incremental-from <fp>`) names the fingerprint of
 /// a previously-analyzed revision whose solved-state snapshot (published
@@ -138,53 +143,6 @@ pub fn parse_config(name: &str) -> Result<PolicyConfig, CliError> {
 /// cache directory. Warm-starting is advisory and sound: a missing
 /// snapshot or an incompatible edit falls back to a cold solve, and the
 /// report bytes are identical either way — only the time differs.
-#[allow(clippy::too_many_arguments)]
-pub fn cmd_analyze(
-    source: &Source,
-    config: Option<&str>,
-    jobs: usize,
-    stats: bool,
-    budget: Option<usize>,
-    cache_dir: Option<&str>,
-    solver_threads: usize,
-    cache_max_bytes: Option<u64>,
-    incremental_from: Option<u64>,
-) -> Result<String, CliError> {
-    cmd_analyze_full(
-        source,
-        config,
-        jobs,
-        stats,
-        budget,
-        cache_dir,
-        solver_threads,
-        cache_max_bytes,
-        incremental_from,
-    )
-    .map(|out| out.report)
-}
-
-/// The result of [`cmd_analyze_full`]: the printed report plus, for
-/// textual-IR sources, the frontend loader's counters (parse/generation
-/// time and per-function cache hits). The counters never appear in the
-/// report text — it stays byte-identical across cold and warm runs.
-pub struct AnalyzeOutput {
-    /// The analysis report, exactly as `cmd_analyze` returns it.
-    pub report: String,
-    /// Frontend counters for textual-IR files; `None` for `.c` sources
-    /// and built-in models, which bypass the cached frontend.
-    pub frontend: Option<FrontendStats>,
-}
-
-/// Like [`cmd_analyze`], but also returns the frontend loader's counters
-/// so the binary can print a `--stats` breakdown to stderr.
-///
-/// Textual-IR files go through [`kaleidoscope_exec::load_frontend`]: the
-/// body pass and constraint generation are parallelized across
-/// `solver_threads` workers, per-function lowered IR + constraint blocks
-/// are cached in the disk cache's `fe/` namespace, and the pre-built
-/// blocks are spliced into every solve via the executor. `.c` sources and
-/// built-in models keep the plain path.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_analyze_full(
     source: &Source,
@@ -197,13 +155,7 @@ pub fn cmd_analyze_full(
     cache_max_bytes: Option<u64>,
     incremental_from: Option<u64>,
 ) -> Result<AnalyzeOutput, CliError> {
-    let configs: Vec<PolicyConfig> = match config {
-        Some(c) => vec![parse_config(c)?],
-        None => PolicyConfig::table3_order().to_vec(),
-    };
-    let cache = DiskCache::resolve(cache_dir)
-        .map_err(|e| err(format!("cannot open cache directory: {e}")))?
-        .map(|c| std::sync::Arc::new(c.with_max_bytes(cache_max_bytes.unwrap_or(0))));
+    let cache = open_cache(cache_dir, cache_max_bytes)?;
     if incremental_from.is_some() && cache.is_none() {
         return Err(err(
             "--incremental-from needs a cache directory (--cache-dir or KD_CACHE_DIR) \
@@ -212,73 +164,37 @@ pub fn cmd_analyze_full(
     }
     // The cache is opened before loading so textual-IR sources can reuse
     // per-function frontend entries from earlier revisions.
-    let (module, frontend) = match source {
+    let (text, module);
+    let program = match source {
         Source::File(path) if !path.ends_with(".c") => {
-            let text = std::fs::read_to_string(path)
+            text = std::fs::read_to_string(path)
                 .map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
-            let loaded = load_frontend(&text, cache.as_deref(), solver_threads).map_err(|e| {
-                err(format!(
-                    "parse error in `{path}`: {e}\n{}",
-                    e.snippet(&text)
-                ))
-            })?;
-            let problems = verify_module(&loaded.module);
-            if !problems.is_empty() {
-                return Err(err(format!(
-                    "`{path}` failed verification: {}",
-                    problems
-                        .iter()
-                        .map(|p| p.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                )));
+            Program::Text {
+                text: &text,
+                path: Some(path),
             }
-            (loaded.module, Some((loaded.blocks, loaded.stats)))
         }
-        _ => (load(source)?, None),
+        _ => {
+            module = load(source)?;
+            Program::Module(&module)
+        }
     };
-    let scope = ReportScope {
-        config: if configs.len() == 1 {
-            Some(configs[0])
-        } else {
-            None
-        },
+    let analyzed = analyze_request(&AnalyzeRequest {
+        program,
+        config,
         stats,
-        wave: false,
-    };
-    let fp = module.fingerprint();
-    let fe_stats = frontend.as_ref().map(|(_, s)| *s);
-    if let Some(c) = &cache {
-        let _ = c.put_module(fp, &module.to_text());
-        if let Some(text) = c.get_report(fp, scope) {
-            return Ok(AnalyzeOutput {
-                report: text,
-                frontend: fe_stats,
-            });
-        }
-    }
-    let mut ex = Executor::with_jobs(jobs);
-    if let Some((blocks, _)) = frontend {
-        ex = ex.with_frontend(fp, blocks);
-    }
-    if let Some(n) = budget {
-        ex = ex.with_budget(SolveBudget::iterations(n));
-    }
-    if let Some(c) = &cache {
-        ex = ex.with_state_store(c.clone());
-        if let Some(prev) = incremental_from.filter(|&prev| prev != fp) {
-            ex = ex.with_incremental_from(prev);
-        }
-    }
-    let report = render_analyze(&module, &configs, &ex, stats);
-    if let Some(c) = &cache {
-        if report.all_healthy() {
-            let _ = c.put_report(fp, scope, &report.text);
-        }
-    }
+        jobs,
+        frontend_threads: solver_threads,
+        budget,
+        cache: cache.as_ref(),
+        publish: true,
+        warm_from: incremental_from,
+        tenant: None,
+    })
+    .map_err(err)?;
     Ok(AnalyzeOutput {
-        report: report.text,
-        frontend: fe_stats,
+        report: analyzed.report.text,
+        frontend: analyzed.frontend,
     })
 }
 
@@ -513,24 +429,15 @@ fn install_shutdown_handler() {
     }
 }
 
-fn open_serve_cache(
+/// The shared artifact store named by `dir` or `KD_CACHE_DIR`, capped at
+/// `max_bytes` (`None` = unbounded); `None` when neither names one.
+fn open_cache(
     dir: Option<&str>,
     max_bytes: Option<u64>,
-) -> Result<std::sync::Arc<DiskCache>, CliError> {
-    let resolved =
-        DiskCache::resolve(dir).map_err(|e| err(format!("cannot open cache directory: {e}")))?;
-    let cache = match resolved {
-        Some(c) => c,
-        None => {
-            // No configured store: a per-daemon temp store still makes
-            // warm repeats cache hits across this daemon's workers.
-            let tmp = std::env::temp_dir().join(format!("kd-serve-cache-{}", std::process::id()));
-            DiskCache::open(tmp).map_err(|e| err(format!("cannot open cache directory: {e}")))?
-        }
-    };
-    Ok(std::sync::Arc::new(
-        cache.with_max_bytes(max_bytes.unwrap_or(0)),
-    ))
+) -> Result<Option<std::sync::Arc<DiskCache>>, CliError> {
+    let open_err = |e| err(format!("cannot open cache directory: {e}"));
+    let cache = DiskCache::resolve(dir).map_err(open_err)?;
+    Ok(cache.map(|c| std::sync::Arc::new(c.with_max_bytes(max_bytes.unwrap_or(0)))))
 }
 
 /// `kd serve` — run the analysis daemon until SIGTERM/SIGINT.
@@ -545,7 +452,19 @@ fn open_serve_cache(
 /// stopped, and the cache recovery sweep runs — then the process exits 0
 /// with a one-line drain summary.
 pub fn cmd_serve(args: &ServeArgs) -> Result<(), CliError> {
-    let cache = open_serve_cache(args.cache_dir.as_deref(), args.cache_max_bytes)?;
+    let cache = match open_cache(args.cache_dir.as_deref(), args.cache_max_bytes)? {
+        Some(cache) => cache,
+        // No configured store: a per-daemon temp store still makes warm
+        // repeats cache hits across this daemon's workers.
+        None => {
+            let tmp = std::env::temp_dir().join(format!("kd-serve-cache-{}", std::process::id()));
+            std::sync::Arc::new(
+                DiskCache::open(tmp)
+                    .map_err(|e| err(format!("cannot open cache directory: {e}")))?
+                    .with_max_bytes(args.cache_max_bytes.unwrap_or(0)),
+            )
+        }
+    };
     let mode = if args.thread_shards {
         ShardMode::Thread(WorkerOptions {
             jobs: args.jobs,
@@ -612,13 +531,10 @@ pub fn cmd_worker(
     unsafe_faults: bool,
     solver_threads: usize,
 ) -> Result<(), CliError> {
-    let cache = DiskCache::resolve(cache_dir)
-        .map_err(|e| err(format!("cannot open cache directory: {e}")))?
-        .map(std::sync::Arc::new);
     let opts = WorkerOptions {
         jobs,
         solver_threads,
-        cache,
+        cache: open_cache(cache_dir, None)?,
         unsafe_faults,
     };
     let stdin = std::io::stdin();
@@ -673,13 +589,7 @@ pub struct RequestOutput {
 pub fn cmd_request(args: &RequestArgs) -> Result<RequestOutput, CliError> {
     let (module, fingerprint) = match (&args.source, &args.fingerprint) {
         (Some(src), None) => (Some(load(src)?.to_text()), None),
-        (None, Some(hex)) => (
-            None,
-            Some(
-                u64::from_str_radix(hex, 16)
-                    .map_err(|_| err(format!("bad fingerprint `{hex}`")))?,
-            ),
-        ),
+        (None, Some(hex)) => (None, Some(parse_fingerprint(hex, "bad fingerprint")?)),
         (None, None) => {
             return Err(err(
                 "no input: give a .kir file, --model <Name>, or --fingerprint <hex>",
@@ -690,9 +600,7 @@ pub fn cmd_request(args: &RequestArgs) -> Result<RequestOutput, CliError> {
     let prev_fingerprint = args
         .prev_fingerprint
         .as_deref()
-        .map(|hex| {
-            u64::from_str_radix(hex, 16).map_err(|_| err(format!("bad prev fingerprint `{hex}`")))
-        })
+        .map(|hex| parse_fingerprint(hex, "bad prev fingerprint"))
         .transpose()?;
     let req = Request {
         id: format!("kd-request-{}", std::process::id()),
@@ -736,11 +644,7 @@ pub fn cmd_request(args: &RequestArgs) -> Result<RequestOutput, CliError> {
             report,
             meta: format!(
                 "kd request: tier={tier} cache={} fingerprint={fingerprint:016x} degraded={degraded}",
-                match cache {
-                    kaleidoscope_serve::CacheDisposition::Hit => "hit",
-                    kaleidoscope_serve::CacheDisposition::Miss => "miss",
-                    kaleidoscope_serve::CacheDisposition::Stored => "stored",
-                }
+                cache.as_str()
             ),
         }),
         Response::Error { error, .. } => Err(err(format!("server refused request: {error}"))),
@@ -839,14 +743,18 @@ mod tests {
     #[test]
     fn analyze_output_independent_of_jobs() {
         let src = Source::Model("TinyDTLS".into());
-        let serial = cmd_analyze(&src, None, 1, false, None, None, 0, None, None).unwrap();
-        let parallel = cmd_analyze(&src, None, 4, false, None, None, 0, None, None).unwrap();
+        let serial = cmd_analyze_full(&src, None, 1, false, None, None, 0, None, None)
+            .unwrap()
+            .report;
+        let parallel = cmd_analyze_full(&src, None, 4, false, None, None, 0, None, None)
+            .unwrap()
+            .report;
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn analyze_sample_file() {
-        let out = cmd_analyze(
+        let out = cmd_analyze_full(
             &sample("lighttpd_fig6.kir"),
             None,
             1,
@@ -857,7 +765,8 @@ mod tests {
             None,
             None,
         )
-        .unwrap();
+        .unwrap()
+        .report;
         assert!(out.contains("Baseline"));
         assert!(out.contains("Kaleidoscope"));
         assert!(out.contains("PA@"), "PA invariant listed:\n{out}");
@@ -865,7 +774,7 @@ mod tests {
 
     #[test]
     fn analyze_model() {
-        let out = cmd_analyze(
+        let out = cmd_analyze_full(
             &Source::Model("TinyDTLS".into()),
             Some("all"),
             1,
@@ -876,16 +785,20 @@ mod tests {
             None,
             None,
         )
-        .unwrap();
+        .unwrap()
+        .report;
         assert!(out.contains("Kaleidoscope"));
     }
 
     #[test]
     fn analyze_stats_prints_solver_counters() {
         let src = Source::Model("TinyDTLS".into());
-        let plain = cmd_analyze(&src, Some("all"), 1, false, None, None, 0, None, None).unwrap();
-        let with_stats =
-            cmd_analyze(&src, Some("all"), 1, true, None, None, 0, None, None).unwrap();
+        let plain = cmd_analyze_full(&src, Some("all"), 1, false, None, None, 0, None, None)
+            .unwrap()
+            .report;
+        let with_stats = cmd_analyze_full(&src, Some("all"), 1, true, None, None, 0, None, None)
+            .unwrap()
+            .report;
         assert!(!plain.contains("solver["));
         assert!(with_stats.contains("solver[fallback]:"), "{with_stats}");
         assert!(with_stats.contains("solver[optimistic]:"));
@@ -910,9 +823,13 @@ mod tests {
         let model = kaleidoscope_apps::model("TinyDTLS").expect("model");
         std::fs::write(&path, model.module.to_text()).unwrap();
         let src = Source::File(path.to_string_lossy().into_owned());
-        let t0 = cmd_analyze(&src, None, 1, true, None, None, 0, None, None).unwrap();
+        let t0 = cmd_analyze_full(&src, None, 1, true, None, None, 0, None, None)
+            .unwrap()
+            .report;
         for threads in [1, 4] {
-            let t = cmd_analyze(&src, None, 1, true, None, None, threads, None, None).unwrap();
+            let t = cmd_analyze_full(&src, None, 1, true, None, None, threads, None, None)
+                .unwrap()
+                .report;
             assert_eq!(t0, t, "report independent of --solver-threads {threads}");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -921,13 +838,19 @@ mod tests {
     #[test]
     fn analyze_budget_tags_degraded_cells() {
         let src = Source::Model("TinyDTLS".into());
-        let out = cmd_analyze(&src, None, 1, false, Some(1), None, 0, None, None).unwrap();
+        let out = cmd_analyze_full(&src, None, 1, false, Some(1), None, 0, None, None)
+            .unwrap()
+            .report;
         assert!(out.contains("degraded: serving steensgaard tier"), "{out}");
         assert!(out.contains("configurations degraded"), "{out}");
         // A generous budget leaves the report byte-identical to no budget.
-        let plain = cmd_analyze(&src, None, 1, false, None, None, 0, None, None).unwrap();
+        let plain = cmd_analyze_full(&src, None, 1, false, None, None, 0, None, None)
+            .unwrap()
+            .report;
         let generous =
-            cmd_analyze(&src, None, 1, false, Some(100_000_000), None, 0, None, None).unwrap();
+            cmd_analyze_full(&src, None, 1, false, Some(100_000_000), None, 0, None, None)
+                .unwrap()
+                .report;
         assert_eq!(plain, generous);
         assert!(!plain.contains("degraded"));
     }
@@ -955,9 +878,11 @@ mod tests {
         let cache_dir = cache.to_string_lossy().into_owned();
 
         // Cold reference, no cache involved at all.
-        let cold = cmd_analyze(&v2_src, None, 1, false, None, None, 0, None, None).unwrap();
+        let cold = cmd_analyze_full(&v2_src, None, 1, false, None, None, 0, None, None)
+            .unwrap()
+            .report;
         // Analyze v1 with the cache: publishes its snapshots.
-        let _ = cmd_analyze(
+        let _ = cmd_analyze_full(
             &v1_src,
             None,
             1,
@@ -968,9 +893,10 @@ mod tests {
             None,
             None,
         )
-        .unwrap();
+        .unwrap()
+        .report;
         // Warm-start v2 from v1: byte-identical to the cold run.
-        let warm = cmd_analyze(
+        let warm = cmd_analyze_full(
             &v2_src,
             None,
             1,
@@ -981,10 +907,11 @@ mod tests {
             None,
             Some(v1.fingerprint()),
         )
-        .unwrap();
+        .unwrap()
+        .report;
         assert_eq!(warm, cold, "incremental report == cold bytes");
         // The stats view proves reuse actually happened.
-        let stats = cmd_analyze(
+        let stats = cmd_analyze_full(
             &v2_src,
             None,
             1,
@@ -995,14 +922,17 @@ mod tests {
             None,
             Some(v1.fingerprint()),
         )
-        .unwrap();
+        .unwrap()
+        .report;
         assert!(stats.contains("incr-reused="), "{stats}");
         assert!(stats.contains("incr-fallback-full=0"), "{stats}");
         // Without a cache directory the flag is a hard error, not a
         // silent cold solve. (Skipped when the environment supplies a
         // fallback store via KD_CACHE_DIR.)
         if std::env::var(kaleidoscope_exec::CACHE_DIR_ENV).is_err() {
-            assert!(cmd_analyze(&v2_src, None, 1, false, None, None, 0, None, Some(1)).is_err());
+            assert!(
+                cmd_analyze_full(&v2_src, None, 1, false, None, None, 0, None, Some(1)).is_err()
+            );
         }
     }
 
@@ -1029,7 +959,9 @@ mod tests {
         let cache_dir = cache.to_string_lossy().into_owned();
 
         // Cacheless reference bytes.
-        let cold = cmd_analyze(&v2_src, None, 1, false, None, None, 0, None, None).unwrap();
+        let cold = cmd_analyze_full(&v2_src, None, 1, false, None, None, 0, None, None)
+            .unwrap()
+            .report;
         // First cached run of v1 populates fe/ entries: every function is
         // a miss, and the counters come back on the side channel.
         let first = cmd_analyze_full(
@@ -1142,7 +1074,7 @@ mod c_tests {
 
     #[test]
     fn analyze_c_source_end_to_end() {
-        let out = cmd_analyze(
+        let out = cmd_analyze_full(
             &sample_c("fig6.c"),
             None,
             1,
@@ -1153,7 +1085,8 @@ mod c_tests {
             None,
             None,
         )
-        .unwrap();
+        .unwrap()
+        .report;
         assert!(out.contains("PA@"), "PA invariant from C source:\n{out}");
     }
 
@@ -1165,7 +1098,7 @@ mod c_tests {
 
     #[test]
     fn fig7_c_emits_pwc_invariant() {
-        let out = cmd_analyze(
+        let out = cmd_analyze_full(
             &sample_c("fig7.c"),
             Some("all"),
             1,
@@ -1176,7 +1109,8 @@ mod c_tests {
             None,
             None,
         )
-        .unwrap();
+        .unwrap()
+        .report;
         assert!(out.contains("PWC"), "{out}");
     }
 

@@ -5,7 +5,7 @@ use std::process::ExitCode;
 
 use kaleidoscope_cli::{
     cmd_analyze_full, cmd_cfi, cmd_debloat, cmd_fmt, cmd_introspect, cmd_request, cmd_run,
-    cmd_serve, cmd_worker, CliError, RequestArgs, ServeArgs, Source, USAGE,
+    cmd_serve, cmd_worker, parse_fingerprint, CliError, RequestArgs, ServeArgs, Source, USAGE,
 };
 
 struct Args {
@@ -222,10 +222,7 @@ fn dispatch(cmd: &str, args: &Args) -> Result<String, CliError> {
             let incremental_from = args
                 .incremental_from
                 .as_deref()
-                .map(|hex| {
-                    u64::from_str_radix(hex, 16)
-                        .map_err(|_| CliError(format!("bad --incremental-from value `{hex}`")))
-                })
+                .map(|hex| parse_fingerprint(hex, "bad --incremental-from value"))
                 .transpose()?;
             let out = cmd_analyze_full(
                 source,

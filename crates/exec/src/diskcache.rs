@@ -7,7 +7,9 @@
 //!
 //! * **Modules** — canonical textual IR keyed by its content
 //!   [`fingerprint`](kaleidoscope_ir::Module::fingerprint), so a client can
-//!   submit a module once and query by fingerprint afterwards.
+//!   submit a module once and query by fingerprint afterwards. There is no
+//!   integrity sidecar: readers re-fingerprint the parsed text, so a torn
+//!   or overwritten entry reads as unknown, never as another program.
 //! * **Reports** — rendered `analyze` reports keyed by
 //!   `(fingerprint, config scope, stats flag, PTS_REPR_VERSION)`. Only
 //!   *healthy* reports are stored: a degraded report depends on the budget
@@ -19,7 +21,7 @@
 //!
 //! ```text
 //! <cache-dir>/
-//!   modules/<fp:016x>.kir                canonical module text
+//!   modules/<fp:016x>.kir                canonical module text (no sidecar)
 //!   reports/<fp:016x>-<scope>-v<N>.txt   healthy analyze report
 //!   reports/<fp:016x>-<scope>-v<N>.sum   "<fnv64:016x> <len>" integrity sidecar
 //!   state/<fp:016x>-k<key>[c]-v<N>i<M>.bin  solved-state snapshot (incremental)
@@ -466,6 +468,12 @@ impl DiskCache {
         Ok(())
     }
 
+    /// Whether `modules/` holds an entry for `fp` (checked before printing
+    /// a module's canonical text to store it).
+    pub fn has_module(&self, fp: u64) -> bool {
+        self.module_path(fp).exists()
+    }
+
     /// Fetch a module's canonical text by fingerprint.
     pub fn get_module(&self, fp: u64) -> Option<String> {
         fs::read_to_string(self.module_path(fp)).ok()
@@ -611,7 +619,9 @@ mod tests {
     fn module_round_trip_by_fingerprint() {
         let cache = DiskCache::open(tmpdir("mod")).unwrap();
         assert_eq!(cache.get_module(0xBEEF), None);
+        assert!(!cache.has_module(0xBEEF));
         cache.put_module(0xBEEF, "module \"m\" {\n}\n").unwrap();
+        assert!(cache.has_module(0xBEEF));
         assert_eq!(
             cache.get_module(0xBEEF).as_deref(),
             Some("module \"m\" {\n}\n")

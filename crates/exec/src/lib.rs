@@ -59,6 +59,7 @@ mod diskcache;
 mod fault;
 mod frontend;
 mod report;
+mod request;
 
 pub use cache::{ArtifactCache, CacheStats, FetchError};
 pub use diskcache::{DiskCache, DiskCacheStats, ReportScope, CACHE_DIR_ENV, FE_CACHE_VERSION};
@@ -66,6 +67,9 @@ pub use diskcache::{DiskCache, DiskCacheStats, ReportScope, CACHE_DIR_ENV, FE_CA
 pub use fault::{FaultKind, FaultPlan};
 pub use frontend::{load_frontend, FrontendStats, LoadedFrontend};
 pub use report::{render_analyze, AnalyzeReport};
+pub use request::{
+    analyze_request, parse_error, verify, AnalyzeRequest, Analyzed, CacheDisposition, Program,
+};
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -187,11 +191,6 @@ impl Executor {
         self
     }
 
-    /// The per-solve budget cells run under.
-    pub fn budget(&self) -> &SolveBudget {
-        &self.budget
-    }
-
     /// Attach a shared on-disk store for solved-state snapshots. Every
     /// converged solve publishes its captured fixpoint there, and (with
     /// [`Executor::with_incremental_from`]) the previous revision's
@@ -209,11 +208,6 @@ impl Executor {
     pub fn with_incremental_from(mut self, prev_fp: u64) -> Executor {
         self.incremental_from = Some(prev_fp);
         self
-    }
-
-    /// The configured previous-revision fingerprint, if any.
-    pub fn incremental_from(&self) -> Option<u64> {
-        self.incremental_from
     }
 
     /// Attach pre-recorded frontend constraint blocks for the module

@@ -14,6 +14,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use kaleidoscope_exec::Analyzed;
+pub use kaleidoscope_exec::CacheDisposition;
+
+use crate::worker::tier_name;
+
 /// A request, as carried on the wire.
 ///
 /// The program is given either inline (`module`, textual IR) or by content
@@ -56,25 +61,32 @@ impl Request {
     /// A minimal request for `module` text under the default tenant.
     pub fn inline(id: &str, module: &str) -> Request {
         Request {
-            id: id.to_string(),
-            tenant: "default".to_string(),
-            op: None,
             module: Some(module.to_string()),
-            fingerprint: None,
-            prev_fingerprint: None,
-            config: None,
-            stats: false,
-            budget: None,
-            fault: None,
+            ..Request::bare(id)
+        }
+    }
+
+    /// A minimal request for a stored module, named by its fingerprint.
+    pub fn by_fingerprint(id: &str, fp: u64) -> Request {
+        Request {
+            fingerprint: Some(fp),
+            ..Request::bare(id)
         }
     }
 
     /// A `{"op":"health"}` control request.
     pub fn health(id: &str) -> Request {
         Request {
+            op: Some("health".to_string()),
+            ..Request::bare(id)
+        }
+    }
+
+    fn bare(id: &str) -> Request {
+        Request {
             id: id.to_string(),
             tenant: "default".to_string(),
-            op: Some("health".to_string()),
+            op: None,
             module: None,
             fingerprint: None,
             prev_fingerprint: None,
@@ -112,36 +124,6 @@ pub struct HealthReport {
     pub cache_tmp_swept: u64,
     /// Corrupt artifacts quarantined by disk-cache recovery sweeps.
     pub cache_quarantined: u64,
-}
-
-/// How the response was produced relative to the shared artifact store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheDisposition {
-    /// Served from the store without a solve.
-    Hit,
-    /// Solved; the result was not storable (degraded or store disabled).
-    Miss,
-    /// Solved and the healthy report was published to the store.
-    Stored,
-}
-
-impl CacheDisposition {
-    fn as_str(self) -> &'static str {
-        match self {
-            CacheDisposition::Hit => "hit",
-            CacheDisposition::Miss => "miss",
-            CacheDisposition::Stored => "stored",
-        }
-    }
-
-    fn parse(s: &str) -> Option<CacheDisposition> {
-        Some(match s {
-            "hit" => CacheDisposition::Hit,
-            "miss" => CacheDisposition::Miss,
-            "stored" => CacheDisposition::Stored,
-            _ => return None,
-        })
-    }
 }
 
 /// A response, as carried on the wire.
@@ -198,6 +180,39 @@ pub enum Response {
 }
 
 impl Response {
+    /// The answer to request `id` on the one analyze path: `ok` with the
+    /// report, else `error` with the reason. The tier tag is the report's
+    /// worst rung unless `tier` overrides it (the breaker short-circuit
+    /// labels its answers `breaker-open`); the report bytes are untouched.
+    pub fn answer(id: &str, outcome: Result<Analyzed, String>, tier: Option<&str>) -> Response {
+        let analyzed = match outcome {
+            Ok(analyzed) => analyzed,
+            Err(error) => return Response::error(id, error),
+        };
+        let fe = analyzed.frontend;
+        Response::Ok {
+            id: id.to_string(),
+            tier: tier
+                .unwrap_or(tier_name(analyzed.report.worst_tier))
+                .to_string(),
+            cache: analyzed.cache,
+            fingerprint: analyzed.fingerprint,
+            degraded: analyzed.report.degraded as u64,
+            report: analyzed.report.text,
+            parse_ms: fe.map(|f| f.parse_ms),
+            gen_ms: fe.map(|f| f.gen_ms),
+            fe_cache_hits: fe.map(|f| f.fe_cache_hits as u64),
+        }
+    }
+
+    /// An `error` answer to request `id`.
+    pub fn error(id: &str, error: impl Into<String>) -> Response {
+        Response::Error {
+            id: id.to_string(),
+            error: error.into(),
+        }
+    }
+
     /// The echoed request id.
     pub fn id(&self) -> &str {
         match self {

@@ -15,8 +15,8 @@
 //!    rung: the shared artifact store if it has the report, else a
 //!    one-iteration budget solve that lands on the Steensgaard tier.
 //!
-//! The shed solve renders through the same [`render_analyze`] as every
-//! other path, so a shed response is byte-identical to
+//! The shed path runs the same [`analyze_request`] as `kd analyze` and
+//! the workers, so a shed response is byte-identical to
 //! `kd analyze --budget 1` for the same module — degraded answers are
 //! still *reproducible* answers.
 //!
@@ -40,19 +40,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use kaleidoscope::PolicyConfig;
-use kaleidoscope_exec::{render_analyze, DiskCache, Executor, ReportScope};
+use kaleidoscope_exec::{analyze_request, AnalyzeRequest, DiskCache};
 use kaleidoscope_prng::Rng;
-use kaleidoscope_pta::SolveBudget;
 
 use crate::admission::{Admission, Decision, TenantQuota};
 use crate::protocol::{
-    decode_request, decode_response, encode_request, encode_response, CacheDisposition,
-    HealthReport, Request, Response,
+    decode_request, decode_response, encode_request, encode_response, HealthReport, Request,
+    Response,
 };
 use crate::shard::{ShardError, ShardMode};
 use crate::supervisor::{BreakerConfig, BreakerState, ShardHealth, Supervisor};
-use crate::worker::{resolve_module, tier_name};
+use crate::worker::wire_request;
 
 /// The solve budget used for shed responses: one worklist iteration,
 /// which drives every cell to the Steensgaard rung — the cheap,
@@ -304,27 +302,22 @@ impl Router {
         if let Some(m) = &req.module {
             if m.len() > quota.max_module_bytes {
                 self.errors.fetch_add(1, Ordering::Relaxed);
-                return Response::Error {
-                    id: req.id.clone(),
-                    error: format!(
+                return Response::error(
+                    &req.id,
+                    format!(
                         "module is {} bytes; tenant quota admits at most {}",
                         m.len(),
                         quota.max_module_bytes
                     ),
-                };
+                );
             }
         }
         let mut effective = req.clone();
         effective.budget = quota.effective_budget(req.budget);
         let deadline = Duration::from_millis(quota.deadline_ms);
-        match self.admission.admit(&req.tenant) {
+        let resp = match self.admission.admit(&req.tenant) {
             Decision::Admit(_permit) => match self.supervisor.dispatch(&effective, deadline) {
-                Ok(resp) => {
-                    if matches!(resp, Response::Error { .. }) {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    resp
-                }
+                Ok(resp) => resp,
                 Err(ShardError::BreakerOpen) => {
                     // Every slot's breaker is open: answer from the
                     // ladder without touching a worker, tagged so
@@ -340,7 +333,11 @@ impl Router {
                 }
             },
             Decision::Shed => self.shed_response(&effective, None),
+        };
+        if matches!(resp, Response::Error { .. }) {
+            self.errors.fetch_add(1, Ordering::Relaxed);
         }
+        resp
     }
 
     /// Route one raw line (the per-connection loop's body).
@@ -349,10 +346,7 @@ impl Router {
             Ok(req) => self.route(&req),
             Err(e) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
-                Response::Error {
-                    id: "?".to_string(),
-                    error: e.to_string(),
-                }
+                Response::error("?", e.to_string())
             }
         };
         encode_response(&response)
@@ -364,71 +358,21 @@ impl Router {
     /// path labels its answers `breaker-open`); the report bytes are
     /// untouched either way.
     fn shed_response(&self, req: &Request, tier_override: Option<&str>) -> Response {
-        let cache = self.cache.as_deref();
-        let resolved = match resolve_module(req, cache, 0) {
-            Ok(m) => m,
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                return Response::Error {
-                    id: req.id.clone(),
-                    error: e,
-                };
-            }
-        };
-        let (module, fp) = (resolved.module, resolved.fp);
-        let fe = resolved.fe;
-        let configs: Vec<PolicyConfig> = match &req.config {
-            Some(name) => match PolicyConfig::parse(name) {
-                Ok(c) => vec![c],
-                Err(e) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    return Response::Error {
-                        id: req.id.clone(),
-                        error: e,
-                    };
-                }
-            },
-            None => PolicyConfig::table3_order().to_vec(),
-        };
-        let scope = ReportScope {
-            config: if configs.len() == 1 {
-                Some(configs[0])
-            } else {
-                None
-            },
-            stats: req.stats,
-            wave: false,
-        };
-        if let Some(text) = cache.and_then(|c| c.get_report(fp, scope)) {
-            return Response::Ok {
-                id: req.id.clone(),
-                report: text,
-                tier: tier_override.unwrap_or("full").to_string(),
-                cache: CacheDisposition::Hit,
-                fingerprint: fp,
-                degraded: 0,
-                parse_ms: Some(fe.parse_ms),
-                gen_ms: Some(fe.gen_ms),
-                fe_cache_hits: Some(fe.fe_cache_hits as u64),
-            };
-        }
-        let ex = Executor::with_jobs(self.shed_jobs)
-            .with_budget(SolveBudget::iterations(SHED_BUDGET))
-            .with_frontend(fp, resolved.blocks);
-        let report = render_analyze(&module, &configs, &ex, req.stats);
-        Response::Ok {
-            id: req.id.clone(),
-            report: report.text,
-            tier: tier_override
-                .unwrap_or(tier_name(report.worst_tier))
-                .to_string(),
-            cache: CacheDisposition::Miss,
-            fingerprint: fp,
-            degraded: report.degraded as u64,
-            parse_ms: Some(fe.parse_ms),
-            gen_ms: Some(fe.gen_ms),
-            fe_cache_hits: Some(fe.fe_cache_hits as u64),
-        }
+        let answer = wire_request(req).and_then(|wire| {
+            analyze_request(&AnalyzeRequest {
+                jobs: self.shed_jobs,
+                frontend_threads: 0,
+                budget: Some(SHED_BUDGET),
+                cache: self.cache.as_ref(),
+                // Its solve is a budget artifact: nothing is published, no
+                // warm start is tried, and no tenant head moves.
+                publish: false,
+                warm_from: None,
+                tenant: None,
+                ..wire
+            })
+        });
+        Response::answer(&req.id, answer, tier_override)
     }
 }
 

@@ -12,24 +12,18 @@
 //!   without process spawning. Fault directives are inert here
 //!   (`unsafe_faults` is never set for thread shards).
 //!
-//! Workers consult the shared [`DiskCache`] before solving and publish
-//! healthy reports back to it, which is what makes a repeat query a cache
-//! hit regardless of which worker — or which *process* — served the first
-//! one. The cached artifact is the full-precision fixpoint, so a hit is
-//! always served at the `full` tier even when the request carried a
-//! budget: the store never holds degraded reports.
+//! Workers answer through [`analyze_request`] over the shared
+//! [`DiskCache`], so a repeat query is a cache hit whichever worker — or
+//! *process* — served the first one. A hit is always the `full` tier, even
+//! under a budget: the store never holds degraded reports.
 
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
-use kaleidoscope::{DegradedTier, PolicyConfig};
-use kaleidoscope_exec::{
-    load_frontend, render_analyze, DiskCache, Executor, FrontendStats, ReportScope,
-};
-use kaleidoscope_ir::{verify_module, Module};
-use kaleidoscope_pta::SolveBudget;
+use kaleidoscope::DegradedTier;
+use kaleidoscope_exec::{analyze_request, AnalyzeRequest, DiskCache, Program};
 
-use crate::protocol::{decode_request, encode_response, CacheDisposition, Request, Response};
+use crate::protocol::{decode_request, encode_response, Request, Response};
 
 /// Configuration a worker runs under (fixed at spawn time, not per
 /// request).
@@ -56,72 +50,33 @@ pub fn tier_name(worst: Option<DegradedTier>) -> &'static str {
     }
 }
 
-fn error(id: &str, msg: impl Into<String>) -> Response {
-    Response::Error {
-        id: id.to_string(),
-        error: msg.into(),
-    }
-}
-
-/// A request's program, resolved through the cached frontend: the verified
-/// module, its canonical fingerprint, the replayable constraint blocks,
-/// and the frontend's load counters.
-#[derive(Debug)]
-pub(crate) struct ResolvedModule {
-    pub module: Module,
-    pub fp: u64,
-    pub blocks: Arc<kaleidoscope_pta::ModuleBlocks>,
-    pub fe: FrontendStats,
-}
-
-/// Resolve the request's program to a verified module plus its canonical
-/// fingerprint, storing inline submissions in the cache for later
-/// fingerprint-only queries. Parsing and constraint recording go through
-/// [`load_frontend`], so unchanged functions are served from the `fe/`
-/// cache and the blocks ride along for the solve to splice.
-pub(crate) fn resolve_module(
-    req: &Request,
-    cache: Option<&DiskCache>,
-    threads: usize,
-) -> Result<ResolvedModule, String> {
-    let text = match (&req.module, req.fingerprint) {
-        (Some(text), None) => text.clone(),
-        (None, Some(fp)) => cache.and_then(|c| c.get_module(fp)).ok_or_else(|| {
-            format!("unknown fingerprint `{fp:016x}` (submit the module inline first)")
-        })?,
+/// The wire request on the one analyze path, with a worker's handling: it
+/// publishes, warm-starts from `prev_fingerprint` else the tenant's head,
+/// and advances that head. Threads and the cache are the caller's.
+pub(crate) fn wire_request(req: &Request) -> Result<AnalyzeRequest<'_>, String> {
+    let program = match (&req.module, req.fingerprint) {
+        (Some(text), None) => Program::Text { text, path: None },
+        (None, Some(fp)) => Program::Fingerprint(fp),
         // decode_request enforces exactly-one; direct callers get the same rule.
         _ => return Err("one of `module` or `fingerprint` is required".to_string()),
     };
-    let loaded = load_frontend(&text, cache, threads).map_err(|e| format!("parse error: {e}"))?;
-    let module = loaded.module;
-    let problems = verify_module(&module);
-    if !problems.is_empty() {
-        return Err(format!(
-            "module failed verification: {}",
-            problems
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        ));
-    }
-    let fp = module.fingerprint();
-    if let Some(c) = cache {
-        // Store the canonical form, so fetch-by-fingerprint re-parses to
-        // the same fingerprint even if the submission had odd whitespace.
-        let _ = c.put_module(fp, &module.to_text());
-    }
-    Ok(ResolvedModule {
-        module,
-        fp,
-        blocks: loaded.blocks,
-        fe: loaded.stats,
+    Ok(AnalyzeRequest {
+        program,
+        config: req.config.as_deref(),
+        stats: req.stats,
+        jobs: 0,
+        frontend_threads: 0,
+        budget: req.budget,
+        cache: None,
+        publish: true,
+        warm_from: req.prev_fingerprint,
+        tenant: Some(&req.tenant),
     })
 }
 
-/// Serve one request. This is the single code path behind every tier:
-/// cache hits, full solves, and (in the daemon) the shed path all render
-/// through [`render_analyze`], which keeps responses byte-identical to
+/// Serve one request. After the fault directives it is a thin caller of
+/// [`analyze_request`], the one analyze path that `kd analyze` and the
+/// daemon's shed path also run, so a response is byte-identical to
 /// `kd analyze` for the same module, configuration, and budget.
 pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
     if opts.unsafe_faults {
@@ -149,93 +104,21 @@ pub fn handle_request(req: &Request, opts: &WorkerOptions) -> Response {
                     }
                     std::process::exit(101);
                 }
-                other => return error(&req.id, format!("unknown fault directive `{other}`")),
+                other => {
+                    return Response::error(&req.id, format!("unknown fault directive `{other}`"))
+                }
             }
         }
     }
-    let cache = opts.cache.as_deref();
-    let resolved = match resolve_module(req, cache, opts.solver_threads) {
-        Ok(m) => m,
-        Err(e) => return error(&req.id, e),
-    };
-    let (module, fp) = (resolved.module, resolved.fp);
-    let fe = resolved.fe;
-    let configs: Vec<PolicyConfig> = match &req.config {
-        Some(name) => match PolicyConfig::parse(name) {
-            Ok(c) => vec![c],
-            Err(e) => return error(&req.id, e),
-        },
-        None => PolicyConfig::table3_order().to_vec(),
-    };
-    let scope = ReportScope {
-        config: if configs.len() == 1 {
-            Some(configs[0])
-        } else {
-            None
-        },
-        stats: req.stats,
-        wave: false,
-    };
-    if let Some(text) = cache.and_then(|c| c.get_report(fp, scope)) {
-        if let Some(c) = cache {
-            let _ = c.put_tenant_head(&req.tenant, fp);
-        }
-        return Response::Ok {
-            id: req.id.clone(),
-            report: text,
-            tier: "full".to_string(),
-            cache: CacheDisposition::Hit,
-            fingerprint: fp,
-            degraded: 0,
-            parse_ms: Some(fe.parse_ms),
-            gen_ms: Some(fe.gen_ms),
-            fe_cache_hits: Some(fe.fe_cache_hits as u64),
-        };
-    }
-    let mut ex = Executor::with_jobs(opts.jobs).with_frontend(fp, resolved.blocks);
-    if let Some(n) = req.budget {
-        ex = ex.with_budget(SolveBudget::iterations(n));
-    }
-    if let Some(store) = &opts.cache {
-        // Warm-start candidate: the request's explicit `prev_fingerprint`,
-        // else the tenant's recorded head. Either is advisory — a missing
-        // or incompatible snapshot just solves cold — and a self-edge
-        // (prev == current) is skipped outright.
-        ex = ex.with_state_store(Arc::clone(store));
-        let prev = req
-            .prev_fingerprint
-            .or_else(|| store.get_tenant_head(&req.tenant))
-            .filter(|&prev| prev != fp);
-        if let Some(prev) = prev {
-            ex = ex.with_incremental_from(prev);
-        }
-    }
-    let report = render_analyze(&module, &configs, &ex, req.stats);
-    if let Some(c) = cache {
-        let _ = c.put_tenant_head(&req.tenant, fp);
-    }
-    let disposition = match cache {
-        Some(c) if report.all_healthy() => {
-            // Only the full-precision fixpoint is storable; a degraded
-            // report is an artifact of this request's budget.
-            match c.put_report(fp, scope, &report.text) {
-                Ok(()) => CacheDisposition::Stored,
-                Err(_) => CacheDisposition::Miss,
-            }
-        }
-        _ => CacheDisposition::Miss,
-    };
-    Response::Ok {
-        id: req.id.clone(),
-        report: report.text,
-        tier: tier_name(report.worst_tier).to_string(),
-        cache: disposition,
-        fingerprint: fp,
-        degraded: report.degraded as u64,
-        parse_ms: Some(fe.parse_ms),
-        gen_ms: Some(fe.gen_ms),
-        fe_cache_hits: Some(fe.fe_cache_hits as u64),
-    }
+    let answer = wire_request(req).and_then(|wire| {
+        analyze_request(&AnalyzeRequest {
+            jobs: opts.jobs,
+            frontend_threads: opts.solver_threads,
+            cache: opts.cache.as_ref(),
+            ..wire
+        })
+    });
+    Response::answer(&req.id, answer, None)
 }
 
 /// The `kd worker` loop: one request line in on `input`, one response
@@ -254,7 +137,7 @@ pub fn run_worker(
         }
         let response = match decode_request(&line) {
             Ok(req) => handle_request(&req, opts),
-            Err(e) => error("?", e.to_string()),
+            Err(e) => Response::error("?", e.to_string()),
         };
         writeln!(output, "{}", encode_response(&response))?;
         output.flush()?;
@@ -265,6 +148,9 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::CacheDisposition;
+    use kaleidoscope::PolicyConfig;
+    use kaleidoscope_exec::{render_analyze, Executor};
 
     fn tiny_module() -> String {
         kaleidoscope_apps::model("TinyDTLS")
@@ -302,18 +188,7 @@ mod tests {
         assert_eq!(*cache, CacheDisposition::Stored);
         assert_eq!(tier, "full");
         // Repeat by fingerprint: no solve, byte-identical report.
-        let again = Request {
-            id: "warm".into(),
-            tenant: "default".into(),
-            op: None,
-            module: None,
-            fingerprint: Some(*fingerprint),
-            prev_fingerprint: None,
-            config: None,
-            stats: false,
-            budget: None,
-            fault: None,
-        };
+        let again = Request::by_fingerprint("warm", *fingerprint);
         let second = handle_request(&again, &opts);
         let Response::Ok {
             report: r2,
@@ -350,19 +225,7 @@ mod tests {
     #[test]
     fn unknown_fingerprint_is_an_error_not_a_crash() {
         let opts = opts_with_cache("nofp");
-        let req = Request {
-            id: "q".into(),
-            tenant: "default".into(),
-            op: None,
-            module: None,
-            fingerprint: Some(0x1234),
-            prev_fingerprint: None,
-            config: None,
-            stats: false,
-            budget: None,
-            fault: None,
-        };
-        let resp = handle_request(&req, &opts);
+        let resp = handle_request(&Request::by_fingerprint("q", 0x1234), &opts);
         assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
     }
 

@@ -112,18 +112,7 @@ fn warm_repeat_is_a_cache_hit_with_identical_bytes() {
     assert_eq!(*disp, CacheDisposition::Stored);
     let lookups_before = cache.stats().report_lookups;
     // Repeat by fingerprint only — the canonical warm query.
-    let warm_req = Request {
-        id: "warm".into(),
-        tenant: "default".into(),
-        op: None,
-        module: None,
-        fingerprint: Some(*fingerprint),
-        prev_fingerprint: None,
-        config: None,
-        stats: false,
-        budget: None,
-        fault: None,
-    };
+    let warm_req = Request::by_fingerprint("warm", *fingerprint);
     let warm = request_over_tcp(&addr, &warm_req).expect("warm");
     let Response::Ok {
         report: warm_report,
@@ -137,6 +126,28 @@ fn warm_repeat_is_a_cache_hit_with_identical_bytes() {
     assert_eq!(warm_report, report);
     assert!(cache.stats().report_lookups > lookups_before);
     assert!(cache.stats().report_hits >= 1);
+    server.stop();
+}
+
+#[test]
+fn fingerprint_whose_stored_text_is_another_program_fails_closed() {
+    let (server, cache) = start("fpswap", 1, TenantQuota::default());
+    let asked = kaleidoscope_apps::model("TinyDTLS").expect("model").module;
+    let other = kaleidoscope_apps::model("Curl").expect("model").module;
+    // An overwritten `modules/` entry: named TinyDTLS, holding Curl.
+    cache
+        .put_module(asked.fingerprint(), &other.to_text())
+        .expect("overwrite");
+    let mut req = Request::by_fingerprint("swapped", asked.fingerprint());
+    req.tenant = "swap".into();
+    let resp = request_over_tcp(&server.addr().to_string(), &req).expect("resp");
+    let Response::Error { error, .. } = &resp else {
+        panic!("expected error, got {resp:?}");
+    };
+    assert!(error.contains("unknown fingerprint"), "{error}");
+    // Nothing was looked up or published under either program.
+    assert_eq!(cache.get_tenant_head("swap"), None);
+    assert_eq!(cache.stats().report_lookups, 0);
     server.stop();
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Smoke test for the `kd serve` daemon: start it, drive ~20 mixed requests
-# (cold solves, warm cache repeats, fingerprint queries, over-budget
+# Smoke test for the `kd serve` daemon: seed its cache with an offline
+# `kd analyze`, start it, drive ~20 mixed requests (cold solves, warm cache
+# repeats, a hit on the offline report, fingerprint queries, over-budget
 # requests, an injected worker kill) through `kd request`, and assert that
 # zero requests are dropped and every response carries the expected tier
 # tag. Used by the `serve-smoke` CI job; runnable locally:
@@ -40,6 +41,11 @@ on_signal() {
 trap cleanup EXIT
 trap 'on_signal 130' INT
 trap 'on_signal 143' TERM
+
+# --- offline analyze into the shared cache ---------------------------------
+# `kd analyze` and the daemon's `kd worker` shards write and read one cache
+# contract: the report stored here must be a hit for the daemon below.
+"$KD" analyze --model Libtiff --cache-dir "$CACHE" >"$WORK/offline.out"
 
 # --- start the daemon and scrape its address -------------------------------
 "$KD" serve --addr 127.0.0.1:0 --cache-dir "$CACHE" --shards 2 --unsafe-faults \
@@ -107,6 +113,13 @@ done
 for m in "${MODELS[@]}"; do
     send full hit --model "$m"
 done
+
+# Stored by the offline `kd analyze` above: a hit with the same bytes.
+send full hit --model Libtiff
+if ! cmp -s "$WORK/offline.out" "$WORK/report.out"; then
+    echo "FAIL: served Libtiff report differs from the offline kd analyze" >&2
+    FAILED=$((FAILED + 1))
+fi
 
 # Fingerprint-only repeat: query by content hash, no module on the wire.
 FP="$("$KD" request --addr "$ADDR" --model TinyDTLS 2>&1 >/dev/null |
