@@ -2,8 +2,8 @@
 //! pipeline's configuration handling.
 
 use kaleidoscope::{analyze, detect_ctx_plan, PolicyConfig};
-use kaleidoscope_ir::{FunctionBuilder, Module, Operand, Type};
-use kaleidoscope_pta::{ChainStep, CriticalFlow};
+use kaleidoscope_ir::{FunctionBuilder, LocalId, Module, Operand, Type};
+use kaleidoscope_pta::{ChainStep, CriticalFlow, ObjId, ObjSite};
 
 fn two_call_harness(m: &mut Module, callee: kaleidoscope_ir::FuncId, arg_ty: Type) {
     let mut b = FunctionBuilder::new(m, "main", vec![], Type::Void);
@@ -191,6 +191,53 @@ fn pairwise_configs_compose_monotonically() {
     assert!(ctx <= base + 1e-9);
     assert!(ctx_pa <= ctx + 1e-9);
     assert!(full <= ctx_pa + 1e-9);
+
+    // Per pointer: the 8 configurations are the power set of the three
+    // policies, and along each of the 19 strictly comparable pairs a ⊊ b,
+    // every local and every object of every model points to no allocation
+    // site under `b` that it does not point to under `a`.
+    let configs = PolicyConfig::table3_order();
+    let bits = |c: PolicyConfig| [c.ctx, c.pa, c.pwc];
+    let below = |a: PolicyConfig, b: PolicyConfig| {
+        a != b && bits(a).into_iter().zip(bits(b)).all(|(x, y)| !x || y)
+    };
+    let within =
+        |small: &[ObjSite], big: &[ObjSite]| small.iter().all(|s| big.binary_search(s).is_ok());
+    let mut pairs = 0;
+    for model in kaleidoscope_apps::all_models() {
+        let m = &model.module;
+        let views: Vec<_> = configs.iter().map(|&c| analyze(m, c).optimistic).collect();
+        for (a, va) in configs.iter().zip(&views) {
+            for (b, vb) in configs.iter().zip(&views) {
+                if !below(*a, *b) {
+                    continue;
+                }
+                pairs += 1;
+                let pair = format!("{}: {} -> {}", model.name, a.name(), b.name());
+                for (fid, f) in m.iter_funcs() {
+                    for l in 0..f.locals.len() {
+                        let lid = LocalId(l as u32);
+                        let sa = va.sites_of(&va.pts_of_local(fid, lid));
+                        let sb = vb.sites_of(&vb.pts_of_local(fid, lid));
+                        let name = &f.locals[l].name;
+                        assert!(within(&sb, &sa), "{pair}: {}::{name} grew", f.name);
+                    }
+                }
+                let (na, nb) = (&va.result.nodes, &vb.result.nodes);
+                for o in 0..nb.obj_count() {
+                    let o = ObjId(o as u32);
+                    let site = nb.obj_info(o).site;
+                    let sb = vb.sites_of(&vb.pts_of(nb.obj_root(o)));
+                    let sa = match na.object_at(site) {
+                        Some(oa) => va.sites_of(&va.pts_of(na.obj_root(oa))),
+                        None => Vec::new(),
+                    };
+                    assert!(within(&sb, &sa), "{pair}: object {site} grew");
+                }
+            }
+        }
+    }
+    assert_eq!(pairs, 19 * 9);
 }
 
 #[test]

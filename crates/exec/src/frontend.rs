@@ -34,7 +34,7 @@ use std::time::Instant;
 use kaleidoscope_ir::codec::{decode_function, encode_function};
 use kaleidoscope_ir::{
     claim_indexed, parse_header, ByteReader, ByteWriter, FuncId, Function, GlobalId, Inst, Module,
-    Operand, ParseError, StructId, Terminator, Type,
+    ModuleShell, Operand, ParseError, StructId, Terminator, Type,
 };
 use kaleidoscope_pta::{build_func_block, FuncBlock, ModuleBlocks};
 
@@ -172,8 +172,10 @@ fn encode_entry(module: &Module, func: &Function, block: &FuncBlock) -> Vec<u8> 
 }
 
 /// Decode an `fe/` entry, validating its imports against the current
-/// header-only module. Any mismatch — an id out of range, a name now bound
-/// to a different id, a callee whose arity or return-voidness changed —
+/// header-only module, and its block against those imports. Any mismatch —
+/// an id out of range, a name now bound to a different id, a callee whose
+/// arity or return-voidness changed, a block naming anything the imports
+/// and the function do not provide (see [`FuncBlock::resolves_within`]) —
 /// returns `None` (treated as a miss, never a wrong splice).
 fn decode_entry(
     bytes: &[u8],
@@ -182,7 +184,8 @@ fn decode_entry(
     global_count: usize,
 ) -> Option<(Function, FuncBlock)> {
     let mut r = ByteReader::new(bytes);
-    let nf = r.uint().ok()? as usize;
+    let nf = r.count().ok()?;
+    let mut fids = Vec::with_capacity(nf);
     for _ in 0..nf {
         let id = r.uint().ok()? as usize;
         let name = r.str().ok()?;
@@ -198,14 +201,17 @@ fn decode_entry(
         {
             return None;
         }
+        fids.push(FuncId(id as u32));
     }
-    let ng = r.uint().ok()? as usize;
+    let ng = r.count().ok()?;
+    let mut gids = Vec::with_capacity(ng);
     for _ in 0..ng {
         let id = r.uint().ok()? as usize;
         let name = r.str().ok()?;
         if id >= global_count || header.global(GlobalId(id as u32)).name != name {
             return None;
         }
+        gids.push(GlobalId(id as u32));
     }
     let ns = r.uint().ok()? as usize;
     for _ in 0..ns {
@@ -222,10 +228,34 @@ fn decode_entry(
     }
     let func = decode_function(&mut r).ok()?;
     let block = FuncBlock::from_bytes(r.raw_bytes().ok()?).ok()?;
-    if !r.is_at_end() {
+    // The import lists are written ascending; a lookup that finds an id
+    // in a tampered, unsorted list still found a validated one.
+    let fits = block.resolves_within(
+        func.locals.len(),
+        |f| {
+            fids.binary_search(&f)
+                .ok()
+                .map(|_| header.func(f).param_count)
+        },
+        |g| gids.binary_search(&g).is_ok(),
+    );
+    if !fits || !r.is_at_end() {
         return None;
     }
     Some((func, block))
+}
+
+/// The `fe/` key of function `i` of `text`: its signature and body text
+/// under the cache version.
+fn entry_key(text: &str, shell: &ModuleShell, i: usize) -> u64 {
+    let (ss, se) = shell.sig_span(i);
+    let (bs, be) = shell.body_span(i);
+    fnv64_chunks(&[
+        &FE_CACHE_VERSION.to_le_bytes(),
+        &text.as_bytes()[ss..se],
+        b"\0",
+        &text.as_bytes()[bs..be],
+    ])
 }
 
 /// Outcome of the per-function parse phase.
@@ -253,18 +283,7 @@ pub fn load_frontend(
     let n = shell.func_count();
 
     let keys: Vec<u64> = if cache.is_some() {
-        (0..n)
-            .map(|i| {
-                let (ss, se) = shell.sig_span(i);
-                let (bs, be) = shell.body_span(i);
-                fnv64_chunks(&[
-                    &FE_CACHE_VERSION.to_le_bytes(),
-                    &text.as_bytes()[ss..se],
-                    b"\0",
-                    &text.as_bytes()[bs..be],
-                ])
-            })
-            .collect()
+        (0..n).map(|i| entry_key(text, &shell, i)).collect()
     } else {
         Vec::new()
     };
@@ -471,6 +490,201 @@ mod tests {
         let fresh = ModuleBlocks::build(&direct);
         for (a, b) in warm.blocks.funcs.iter().zip(&fresh.funcs) {
             assert_eq!(a.to_bytes(), b.to_bytes());
+        }
+    }
+
+    #[test]
+    fn block_naming_ids_outside_its_imports_is_a_miss() {
+        use crate::request::{analyze_request, AnalyzeRequest, Program};
+        use kaleidoscope_pta::block::{BlockOp, SymRef};
+
+        // A cached block naming a global the header lacks must miss:
+        // replaying it would panic in `generate_spliced`.
+        let mut m = kaleidoscope_apps::model("TinyDTLS").unwrap().module;
+        m.add_global("extra", Type::Int).unwrap();
+        let text = m.to_text();
+        let cache = Arc::new(DiskCache::open(tmpdir("badref")).unwrap());
+        let cold = load_frontend(&text, Some(&cache), 1).unwrap();
+        // Re-publish every entry with a block that names a global the
+        // header does not have.
+        let shell = parse_header(&text).unwrap();
+        let header = shell.module();
+        let globals = header.iter_globals().count();
+        for i in 0..shell.func_count() {
+            let key = entry_key(&text, &shell, i);
+            let bytes = cache.get_fe(key).unwrap();
+            let (f, mut b) = decode_entry(&bytes, header, shell.func_count(), globals).unwrap();
+            b.ops
+                .push(BlockOp::Touch(SymRef::GlobalAddr(GlobalId(999))));
+            cache
+                .put_fe(key, &encode_entry(&cold.module, &f, &b))
+                .unwrap();
+        }
+        let warm = load_frontend(&text, Some(&cache), 1).unwrap();
+        assert_eq!(warm.stats.fe_cache_hits, 0);
+        assert_eq!(warm.blocks, cold.blocks);
+
+        let request = |cache| AnalyzeRequest {
+            program: Program::Text {
+                text: &text,
+                path: None,
+            },
+            config: None,
+            stats: false,
+            jobs: 1,
+            frontend_threads: 1,
+            budget: None,
+            cache,
+            publish: false,
+            warm_from: None,
+            tenant: None,
+        };
+        let plain = analyze_request(&request(None)).unwrap().report;
+        let cached = analyze_request(&request(Some(&cache))).unwrap().report;
+        assert_eq!(cached.degraded, 0);
+        assert_eq!(cached.text, plain.text);
+    }
+
+    #[test]
+    fn tampered_blocks_are_misses() {
+        use kaleidoscope_ir::LocalId;
+        use kaleidoscope_pta::block::{BlockOp, SelfLoc, SymConstraintKind, SymOrigin, SymRef};
+        let m = parse_module(&sample_text()).unwrap();
+        let main = m.func_by_name("main").unwrap();
+        let block = build_func_block(&m, main);
+        let decode = |b: &FuncBlock| {
+            let bytes = encode_entry(&m, m.func(main), b);
+            decode_entry(&bytes, &m, m.iter_funcs().count(), 1)
+        };
+        assert_eq!(decode(&block).map(|(_, b)| b), Some(block.clone()));
+        let at = SelfLoc { block: 0, inst: 0 };
+        let local = |l| SymRef::SelfLocal(LocalId(l));
+        let extra = [
+            (
+                "global outside the header",
+                BlockOp::Touch(SymRef::GlobalAddr(GlobalId(999))),
+            ),
+            (
+                "callee outside the imports",
+                BlockOp::Touch(SymRef::CalleeRet(FuncId(999))),
+            ),
+            (
+                "callee parameter past its arity",
+                BlockOp::Touch(SymRef::CalleeLocal(FuncId(0), LocalId(1))),
+            ),
+            (
+                "local past the function's locals",
+                BlockOp::Touch(local(999)),
+            ),
+            ("plan-only dummy", BlockOp::Touch(SymRef::CtxDummy(at))),
+            (
+                "plan-only origin",
+                BlockOp::Push {
+                    kind: SymConstraintKind::Copy {
+                        dst: local(0),
+                        src: local(0),
+                    },
+                    origin: SymOrigin::CtxBypass { site: at },
+                },
+            ),
+        ];
+        for (what, op) in extra {
+            let mut b = block.clone();
+            b.ops.push(op);
+            assert_eq!(FuncBlock::from_bytes(&b.to_bytes()).ok().as_ref(), Some(&b));
+            assert_eq!(decode(&b), None, "{what}");
+        }
+        let mut b = block.clone();
+        let first = b
+            .ops
+            .iter()
+            .position(|op| matches!(op, BlockOp::Obj { .. }));
+        b.ops.remove(first.unwrap());
+        assert_eq!(decode(&b), None, "site used before its Obj op");
+    }
+
+    /// Seeds of the decoder havoc property: `KD_FUZZ_SEEDS`, a
+    /// comma-separated list, or `1,2` when unset.
+    fn fuzz_seeds() -> Vec<u64> {
+        match std::env::var("KD_FUZZ_SEEDS") {
+            Ok(s) => s
+                .split(',')
+                .map(|x| {
+                    x.trim()
+                        .parse()
+                        .expect("KD_FUZZ_SEEDS: comma-separated u64s")
+                })
+                .collect(),
+            Err(_) => vec![1, 2],
+        }
+    }
+
+    /// `FuncBlock::from_bytes` and `decode_entry` fail closed: havoc on the
+    /// encoded blocks and `fe/` entries of the 9 models never panics, and
+    /// every value that still decodes re-encodes identically and replays.
+    #[test]
+    fn decoders_fail_closed_under_havoc() {
+        use kaleidoscope_fuzz::mutate::mutate;
+        use kaleidoscope_pta::gen::generate_spliced;
+
+        struct Case {
+            module: Module,
+            blocks: ModuleBlocks,
+            entries: Vec<Vec<u8>>,
+        }
+        let cases: Vec<Case> = kaleidoscope_apps::all_models()
+            .into_iter()
+            .map(|model| {
+                let module = model.module;
+                let blocks = ModuleBlocks::build(&module);
+                let entries = module
+                    .iter_funcs()
+                    .map(|(fid, f)| encode_entry(&module, f, &blocks.funcs[fid.index()]))
+                    .collect();
+                Case {
+                    module,
+                    blocks,
+                    entries,
+                }
+            })
+            .collect();
+        let replay = |c: &Case, i: usize, b: FuncBlock| {
+            let mut blocks = c.blocks.clone();
+            blocks.funcs[i] = b;
+            generate_spliced(&c.module, None, Some(&blocks));
+        };
+        for seed in fuzz_seeds() {
+            kaleidoscope_prng::check(1000, seed, |rng| {
+                let c = rng.choose(&cases).unwrap();
+                let m = &c.module;
+                let (nf, ng) = (m.iter_funcs().count(), m.iter_globals().count());
+                let i = rng.gen_range(0..nf);
+                let locals = m.func(FuncId(i as u32)).locals.len();
+
+                let bytes = mutate(&c.blocks.funcs[i].to_bytes(), rng, 1 << 12);
+                if let Ok(b) = FuncBlock::from_bytes(&bytes) {
+                    assert_eq!(FuncBlock::from_bytes(&b.to_bytes()).ok(), Some(b.clone()));
+                    let fits = b.resolves_within(
+                        locals,
+                        |f| (f.index() < nf).then(|| m.func(f).param_count),
+                        |g| g.index() < ng,
+                    );
+                    if fits {
+                        replay(c, i, b);
+                    }
+                }
+
+                let bytes = mutate(&c.entries[i], rng, 1 << 16);
+                if let Some((f, b)) = decode_entry(&bytes, m, nf, ng) {
+                    let mut w = ByteWriter::new();
+                    encode_function(&mut w, &f);
+                    let fbytes = w.into_bytes();
+                    let again = decode_function(&mut ByteReader::new(&fbytes)).unwrap();
+                    assert_eq!(again, f);
+                    assert_eq!(FuncBlock::from_bytes(&b.to_bytes()).ok(), Some(b.clone()));
+                    replay(c, i, b);
+                }
+            });
         }
     }
 

@@ -1,43 +1,54 @@
 //! Position-independent per-function constraint blocks.
 //!
-//! A [`FuncBlock`] is the constraint-generation trace of one function with
-//! every module-position-dependent value made symbolic: locals of the
-//! function itself become [`SymRef::SelfLocal`], its allocation sites become
-//! self-relative [`SymSite`]s, and only the identities a body *textually*
-//! names (callee functions, globals) remain absolute. Replaying a block
-//! against a [`NodeTable`](crate::node::NodeTable) performs exactly the same
-//! primitive-call sequence as [`gen::generate`](crate::gen::generate) would
-//! for that function, so splicing cached blocks for unchanged functions into
-//! a fresh generation run yields a byte-identical
-//! [`Program`](crate::gen::Program) — the invariant the frontend cache's
-//! differential tests pin.
+//! Constraint generation is one walk over the IR (`walk_func` in
+//! [`gen`](crate::gen)) that emits *symbolic* operations into a
+//! sink: every value the walk names is a [`SymRef`], every allocation site a
+//! self-relative [`SymSite`], and every origin a [`SymOrigin`]. Only the
+//! identities a body *textually* names (callee functions, globals) are
+//! absolute. There are two sinks:
 //!
-//! Blocks are *plan-free*: the context-sensitivity bypass of
-//! [`CtxPlan`] rewrites both a planned function's own body (skipped stores,
-//! bypassed returns) and every direct caller's callsites (per-site dummy
-//! replication). [`plan_affected`] computes that set so the splicer can fall
-//! back to live generation for exactly those functions; everything else
+//! * a [`FuncBlock`] records the operations as [`BlockOp`]s — a block is the
+//!   walk's trace for one function, and [`build_func_block`] is the walk
+//!   with no context plan;
+//! * the generator in [`gen`](crate::gen) resolves each reference against a
+//!   [`NodeTable`](crate::node::NodeTable) as it arrives.
+//!
+//! Replaying a recorded block feeds its operations to the same generator,
+//! so splicing cached blocks for unchanged functions into a fresh
+//! generation run yields a byte-identical [`Program`](crate::gen::Program)
+//! by construction: the recorded trace *is* what the walk emitted.
+//!
+//! Blocks are *plan-free*: the context-sensitivity bypass of [`CtxPlan`]
+//! rewrites both a planned function's own body (skipped stores, bypassed
+//! returns) and every direct caller's callsites (per-site dummy
+//! replication). [`plan_affected`] computes that set so the splicer runs
+//! the walk with the plan for exactly those functions; everything else
 //! replays. With an empty plan — the baseline configuration every cached
 //! solve family starts from — the affected set is empty and all blocks
-//! replay.
+//! replay. The plan-only vocabulary ([`SymRef::CtxDummy`],
+//! [`SymOrigin::CtxBypass`]) therefore never appears in a recorded block,
+//! and [`FuncBlock::resolves_within`] rejects a decoded block that carries
+//! it.
 
 use std::collections::HashSet;
 
 use kaleidoscope_ir::codec::{decode_type, encode_type};
 use kaleidoscope_ir::{
     claim_indexed, BlockId, ByteReader, ByteWriter, CodecError, FuncId, GlobalId, Inst, InstLoc,
-    LocalId, Module, Operand, Terminator, Type,
+    LocalId, Module, Type,
 };
 
 use crate::ctxplan::CtxPlan;
+use crate::gen::{walk_func, Origin, Sink};
+use crate::node::ObjSite;
 
 /// A `(block, instruction)` coordinate within the block's own function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SelfLoc {
     /// Block index within the function.
     pub block: u32,
     /// Instruction index within the block (`insts.len()` addresses the
-    /// terminator, matching live generation's return-flow location).
+    /// terminator, the location of its return-value flow).
     pub inst: u32,
 }
 
@@ -50,12 +61,23 @@ impl SelfLoc {
 }
 
 /// An allocation site owned by the block's function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SymSite {
     /// `alloca` at the given self-relative location.
     Stack(SelfLoc),
     /// `halloc` at the given self-relative location.
     Heap(SelfLoc),
+}
+
+impl SymSite {
+    /// Rebase onto a concrete function id.
+    #[inline]
+    pub(crate) fn rebase(self, fid: FuncId) -> ObjSite {
+        match self {
+            SymSite::Stack(l) => ObjSite::Stack(l.rebase(fid)),
+            SymSite::Heap(l) => ObjSite::Heap(l.rebase(fid)),
+        }
+    }
 }
 
 /// A node reference, self-relative for the block's own function.
@@ -78,11 +100,15 @@ pub enum SymRef {
     GlobalAddr(GlobalId),
     /// The address constant of a function.
     FuncAddr(FuncId),
+    /// A fresh dummy of the context plan for the callsite at this
+    /// self-relative location: every resolution creates a new node, and
+    /// the dummies of one callsite are numbered in creation order.
+    /// Plan-only.
+    CtxDummy(SelfLoc),
 }
 
-/// Self-relative [`Origin`](crate::gen::Origin). `Init` and `CtxBypass`
-/// never appear: address-constant seeding is implied by reference
-/// resolution, and bypass edges only exist in live-generated functions.
+/// Self-relative [`Origin`]. `Init` never appears: address-constant
+/// seeding is implied by reference resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SymOrigin {
     /// The instruction (or terminator) at this self-relative location.
@@ -99,83 +125,145 @@ pub enum SymOrigin {
         /// The callsite.
         site: SelfLoc,
     },
+    /// Added by the context-sensitivity bypass for this callsite.
+    /// Plan-only.
+    CtxBypass {
+        /// The callsite whose actuals the bypass wires.
+        site: SelfLoc,
+    },
 }
 
-/// Self-relative [`ConstraintKind`](crate::gen::ConstraintKind).
+impl SymOrigin {
+    /// Rebase onto a concrete function id.
+    #[inline]
+    pub(crate) fn rebase(self, fid: FuncId) -> Origin {
+        match self {
+            SymOrigin::Inst(l) => Origin::Inst(l.rebase(fid)),
+            SymOrigin::CallArg { site, idx } => Origin::CallArg {
+                site: site.rebase(fid),
+                idx,
+            },
+            SymOrigin::CallRet { site } => Origin::CallRet {
+                site: site.rebase(fid),
+            },
+            SymOrigin::CtxBypass { site } => Origin::CtxBypass {
+                site: site.rebase(fid),
+            },
+        }
+    }
+}
+
+/// Self-relative [`ConstraintKind`](crate::gen::ConstraintKind) over
+/// node references `R`: [`SymRef`]s in a recorded block, resolved nodes
+/// on their way into the generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SymConstraintKind {
+pub enum SymConstraintKind<R = SymRef> {
     /// `obj ∈ pts(dst)` for a self-owned allocation site.
     AddrOf {
         /// Pointer gaining the object.
-        dst: SymRef,
+        dst: R,
         /// The self-owned allocation site.
         obj: SymSite,
     },
     /// `pts(dst) ⊇ pts(src)`.
     Copy {
         /// Destination.
-        dst: SymRef,
+        dst: R,
         /// Source.
-        src: SymRef,
+        src: R,
     },
     /// `dst = *addr`.
     Load {
         /// Destination.
-        dst: SymRef,
+        dst: R,
         /// Dereferenced pointer.
-        addr: SymRef,
+        addr: R,
     },
     /// `*addr = src`.
     Store {
         /// Dereferenced pointer.
-        addr: SymRef,
+        addr: R,
         /// Stored value.
-        src: SymRef,
+        src: R,
     },
     /// `dst = &base->idx`.
     Field {
         /// Destination.
-        dst: SymRef,
+        dst: R,
         /// Base pointer.
-        base: SymRef,
+        base: R,
         /// Field index.
         idx: usize,
     },
     /// `dst = base ⊕ unknown`.
     PtrArith {
         /// Destination.
-        dst: SymRef,
+        dst: R,
         /// Base pointer.
-        base: SymRef,
+        base: R,
         /// The arithmetic instruction, self-relative.
         loc: SelfLoc,
     },
     /// `dst = &base[i]`.
     Elem {
         /// Destination.
-        dst: SymRef,
+        dst: R,
         /// Base pointer.
-        base: SymRef,
+        base: R,
     },
 }
 
-/// One step of the recorded generation trace. Replay applies ops in order
-/// against the shared node table, reproducing live generation's exact
-/// node-creation sequence.
+impl<R: Copy> SymConstraintKind<R> {
+    /// The same constraint with every reference mapped through `f`, in
+    /// field order.
+    pub(crate) fn map<T>(&self, mut f: impl FnMut(R) -> T) -> SymConstraintKind<T> {
+        use SymConstraintKind::*;
+        match *self {
+            AddrOf { dst, obj } => AddrOf { dst: f(dst), obj },
+            Copy { dst, src } => Copy {
+                dst: f(dst),
+                src: f(src),
+            },
+            Load { dst, addr } => Load {
+                dst: f(dst),
+                addr: f(addr),
+            },
+            Store { addr, src } => Store {
+                addr: f(addr),
+                src: f(src),
+            },
+            Field { dst, base, idx } => Field {
+                dst: f(dst),
+                base: f(base),
+                idx,
+            },
+            PtrArith { dst, base, loc } => PtrArith {
+                dst: f(dst),
+                base: f(base),
+                loc,
+            },
+            Elem { dst, base } => Elem {
+                dst: f(dst),
+                base: f(base),
+            },
+        }
+    }
+}
+
+/// One operation of the recorded walk. Replay feeds ops in order to the
+/// generator, reproducing the walk's exact node-creation sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockOp {
-    /// Ensure the abstract object for a self-owned allocation site exists
-    /// (mirrors `NodeTable::object`).
+    /// Ensure the abstract object for a self-owned allocation site exists.
     Obj {
         /// The allocation site.
         site: SymSite,
         /// The allocated type, if known.
         ty: Option<Type>,
     },
-    /// Resolve a reference for its node-creation side effect (mirrors each
-    /// `op_node`/`local_node`/`ret_node` call of live generation, in order).
-    /// For address constants this includes pushing the seeding `AddrOf` on
-    /// first creation.
+    /// Resolve a reference for its node-creation side effect. For address
+    /// constants this includes pushing the seeding `AddrOf` on first
+    /// creation.
     Touch(SymRef),
     /// Push a constraint whose references were already touched.
     Push {
@@ -197,11 +285,45 @@ pub enum BlockOp {
     },
 }
 
-/// The recorded, plan-free constraint-generation trace of one function.
+/// The recorded, plan-free constraint walk of one function.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FuncBlock {
-    /// The trace, in live generation order.
+    /// The walk's operations, in order.
     pub ops: Vec<BlockOp>,
+}
+
+/// The recorder: each operation the walk emits becomes a [`BlockOp`], and
+/// a reference resolves to itself.
+impl Sink for FuncBlock {
+    type Node = SymRef;
+
+    fn obj(&mut self, site: SymSite, ty: Option<Type>) {
+        self.ops.push(BlockOp::Obj { site, ty });
+    }
+
+    fn node(&mut self, r: SymRef) -> SymRef {
+        self.ops.push(BlockOp::Touch(r));
+        r
+    }
+
+    fn push(&mut self, kind: SymConstraintKind, origin: SymOrigin) {
+        self.ops.push(BlockOp::Push { kind, origin });
+    }
+
+    fn icall(
+        &mut self,
+        site: SelfLoc,
+        fnptr: SymRef,
+        args: Vec<Option<SymRef>>,
+        dst: Option<SymRef>,
+    ) {
+        self.ops.push(BlockOp::ICall {
+            site,
+            fnptr,
+            args,
+            dst,
+        });
+    }
 }
 
 impl FuncBlock {
@@ -221,6 +343,78 @@ impl FuncBlock {
         }
         Ok(b)
     }
+
+    /// Feed the recorded operations to `sink`, in order. A `Push` or
+    /// `ICall` resolves its references again; the preceding `Touch`es
+    /// already created them, so that second resolution is a lookup.
+    pub(crate) fn replay<S: Sink>(&self, sink: &mut S) {
+        for op in &self.ops {
+            match op {
+                BlockOp::Obj { site, ty } => sink.obj(*site, ty.clone()),
+                BlockOp::Touch(r) => {
+                    sink.node(*r);
+                }
+                BlockOp::Push { kind, origin } => {
+                    let kind = kind.map(|r| sink.node(r));
+                    sink.push(kind, *origin);
+                }
+                BlockOp::ICall {
+                    site,
+                    fnptr,
+                    args,
+                    dst,
+                } => {
+                    let fnptr = sink.node(*fnptr);
+                    let args = args.iter().map(|a| a.map(|r| sink.node(r))).collect();
+                    let dst = dst.map(|r| sink.node(r));
+                    sink.icall(*site, fnptr, args, dst);
+                }
+            }
+        }
+    }
+
+    /// Whether replaying the block can only name what its function and the
+    /// module header provide: locals below `locals`, callees for which
+    /// `callee_params` gives a parameter count (parameter locals below
+    /// it), globals `global` accepts, and allocation sites created by an
+    /// earlier `Obj` op — and whether it is free of plan-only operations.
+    /// Every block [`build_func_block`] records qualifies; the frontend
+    /// cache rejects a decoded one that does not.
+    pub fn resolves_within(
+        &self,
+        locals: usize,
+        callee_params: impl Fn(FuncId) -> Option<usize>,
+        global: impl Fn(GlobalId) -> bool,
+    ) -> bool {
+        let ok = |r: SymRef| match r {
+            SymRef::SelfLocal(l) => l.index() < locals,
+            SymRef::SelfRet => true,
+            SymRef::CalleeLocal(f, l) => callee_params(f).is_some_and(|n| l.index() < n),
+            SymRef::CalleeRet(f) | SymRef::FuncAddr(f) => callee_params(f).is_some(),
+            SymRef::GlobalAddr(g) => global(g),
+            SymRef::CtxDummy(_) => false,
+        };
+        let mut sites = HashSet::new();
+        self.ops.iter().all(|op| match op {
+            BlockOp::Obj { site, .. } => {
+                sites.insert(*site);
+                true
+            }
+            BlockOp::Touch(r) => ok(*r),
+            BlockOp::Push { kind, origin } => {
+                let mut refs_ok = true;
+                kind.map(|r| refs_ok &= ok(r));
+                let site_ok = match kind {
+                    SymConstraintKind::AddrOf { obj, .. } => sites.contains(obj),
+                    _ => true,
+                };
+                refs_ok && site_ok && !matches!(origin, SymOrigin::CtxBypass { .. })
+            }
+            BlockOp::ICall {
+                fnptr, args, dst, ..
+            } => ok(*fnptr) && args.iter().chain([dst]).flatten().all(|&r| ok(r)),
+        })
+    }
 }
 
 /// Blocks for every function of a module, indexed like `Module::iter_funcs`.
@@ -233,12 +427,7 @@ pub struct ModuleBlocks {
 impl ModuleBlocks {
     /// Record blocks for every function, sequentially.
     pub fn build(module: &Module) -> ModuleBlocks {
-        ModuleBlocks {
-            funcs: module
-                .iter_funcs()
-                .map(|(fid, _)| build_func_block(module, fid))
-                .collect(),
-        }
+        Self::build_parallel(module, 1)
     }
 
     /// Record blocks for every function using up to `threads` worker
@@ -254,7 +443,7 @@ impl ModuleBlocks {
 /// The functions whose generated constraints depend on `plan`: the planned
 /// functions themselves (skipped stores / bypassed returns) plus every
 /// function with a direct call to one (per-callsite replication). These must
-/// be generated live; all other functions' blocks replay unchanged.
+/// be walked with the plan; all other functions' blocks replay unchanged.
 pub fn plan_affected(module: &Module, plan: Option<&CtxPlan>) -> HashSet<FuncId> {
     let mut affected = HashSet::new();
     let Some(plan) = plan else {
@@ -282,195 +471,11 @@ pub fn plan_affected(module: &Module, plan: Option<&CtxPlan>) -> HashSet<FuncId>
     affected
 }
 
-fn sym_op(op: Operand) -> Option<SymRef> {
-    match op {
-        Operand::Local(l) => Some(SymRef::SelfLocal(l)),
-        Operand::Global(g) => Some(SymRef::GlobalAddr(g)),
-        Operand::Func(f) => Some(SymRef::FuncAddr(f)),
-        Operand::ConstInt(_) | Operand::Null => None,
-    }
-}
-
-/// Record the plan-free generation trace of one function.
+/// Record the plan-free constraint walk of one function.
 pub fn build_func_block(module: &Module, fid: FuncId) -> FuncBlock {
-    let mut ops = Vec::new();
-    let func = module.func(fid);
-    for (bid, block) in func.iter_blocks() {
-        for (i, inst) in block.insts.iter().enumerate() {
-            let loc = SelfLoc {
-                block: bid.0,
-                inst: i as u32,
-            };
-            rec_inst(module, &mut ops, loc, inst);
-        }
-        if let Terminator::Ret(Some(op)) = &block.term {
-            if let Some(src) = sym_op(*op) {
-                let loc = SelfLoc {
-                    block: bid.0,
-                    inst: block.insts.len() as u32,
-                };
-                ops.push(BlockOp::Touch(src));
-                ops.push(BlockOp::Touch(SymRef::SelfRet));
-                ops.push(BlockOp::Push {
-                    kind: SymConstraintKind::Copy {
-                        dst: SymRef::SelfRet,
-                        src,
-                    },
-                    origin: SymOrigin::Inst(loc),
-                });
-            }
-        }
-    }
-    FuncBlock { ops }
-}
-
-/// Record one instruction, touching references in exactly the order live
-/// generation resolves them.
-fn rec_inst(module: &Module, ops: &mut Vec<BlockOp>, loc: SelfLoc, inst: &Inst) {
-    let simple = |ops: &mut Vec<BlockOp>,
-                  src: Option<SymRef>,
-                  dst: LocalId,
-                  mk: &dyn Fn(SymRef, SymRef) -> SymConstraintKind| {
-        if let Some(src) = src {
-            let d = SymRef::SelfLocal(dst);
-            ops.push(BlockOp::Touch(src));
-            ops.push(BlockOp::Touch(d));
-            ops.push(BlockOp::Push {
-                kind: mk(d, src),
-                origin: SymOrigin::Inst(loc),
-            });
-        }
-    };
-    match inst {
-        Inst::Alloca { dst, ty } => {
-            let site = SymSite::Stack(loc);
-            let d = SymRef::SelfLocal(*dst);
-            ops.push(BlockOp::Obj {
-                site,
-                ty: Some(ty.clone()),
-            });
-            ops.push(BlockOp::Touch(d));
-            ops.push(BlockOp::Push {
-                kind: SymConstraintKind::AddrOf { dst: d, obj: site },
-                origin: SymOrigin::Inst(loc),
-            });
-        }
-        Inst::HeapAlloc { dst, ty } => {
-            let site = SymSite::Heap(loc);
-            let d = SymRef::SelfLocal(*dst);
-            ops.push(BlockOp::Obj {
-                site,
-                ty: ty.clone(),
-            });
-            ops.push(BlockOp::Touch(d));
-            ops.push(BlockOp::Push {
-                kind: SymConstraintKind::AddrOf { dst: d, obj: site },
-                origin: SymOrigin::Inst(loc),
-            });
-        }
-        Inst::Copy { dst, src } => {
-            simple(ops, sym_op(*src), *dst, &|d, s| SymConstraintKind::Copy {
-                dst: d,
-                src: s,
-            });
-        }
-        Inst::Load { dst, src } => {
-            simple(ops, sym_op(*src), *dst, &|d, s| SymConstraintKind::Load {
-                dst: d,
-                addr: s,
-            });
-        }
-        Inst::Store { dst, src } => {
-            // Live generation resolves both operands unconditionally (tuple
-            // evaluation) before checking either; replicate the touches.
-            let addr = sym_op(*dst);
-            let src = sym_op(*src);
-            if let Some(a) = addr {
-                ops.push(BlockOp::Touch(a));
-            }
-            if let Some(s) = src {
-                ops.push(BlockOp::Touch(s));
-            }
-            if let (Some(addr), Some(src)) = (addr, src) {
-                ops.push(BlockOp::Push {
-                    kind: SymConstraintKind::Store { addr, src },
-                    origin: SymOrigin::Inst(loc),
-                });
-            }
-        }
-        Inst::FieldAddr { dst, base, field } => {
-            let idx = *field;
-            simple(ops, sym_op(*base), *dst, &|d, b| SymConstraintKind::Field {
-                dst: d,
-                base: b,
-                idx,
-            });
-        }
-        Inst::PtrArith { dst, base, .. } => {
-            simple(ops, sym_op(*base), *dst, &|d, b| {
-                SymConstraintKind::PtrArith {
-                    dst: d,
-                    base: b,
-                    loc,
-                }
-            });
-        }
-        Inst::ElemAddr { dst, base, .. } => {
-            simple(ops, sym_op(*base), *dst, &|d, b| SymConstraintKind::Elem {
-                dst: d,
-                base: b,
-            });
-        }
-        Inst::BinOp { .. } | Inst::Input { .. } | Inst::Output { .. } => {}
-        Inst::Call { dst, callee, args } => {
-            let callee_func = module.func(*callee);
-            let n = args.len().min(callee_func.param_count);
-            for (idx, arg) in args.iter().take(n).enumerate() {
-                if let Some(src) = sym_op(*arg) {
-                    let d = SymRef::CalleeLocal(*callee, LocalId(idx as u32));
-                    ops.push(BlockOp::Touch(src));
-                    ops.push(BlockOp::Touch(d));
-                    ops.push(BlockOp::Push {
-                        kind: SymConstraintKind::Copy { dst: d, src },
-                        origin: SymOrigin::CallArg { site: loc, idx },
-                    });
-                }
-            }
-            if let Some(dst) = dst {
-                // The destination local is resolved even for void callees,
-                // exactly as live generation does.
-                let d = SymRef::SelfLocal(*dst);
-                ops.push(BlockOp::Touch(d));
-                if callee_func.ret_ty != Type::Void {
-                    let r = SymRef::CalleeRet(*callee);
-                    ops.push(BlockOp::Touch(r));
-                    ops.push(BlockOp::Push {
-                        kind: SymConstraintKind::Copy { dst: d, src: r },
-                        origin: SymOrigin::CallRet { site: loc },
-                    });
-                }
-            }
-        }
-        Inst::CallInd { dst, callee, args } => {
-            if let Some(fnptr) = sym_op(*callee) {
-                ops.push(BlockOp::Touch(fnptr));
-                let args: Vec<Option<SymRef>> = args.iter().map(|a| sym_op(*a)).collect();
-                for a in args.iter().flatten() {
-                    ops.push(BlockOp::Touch(*a));
-                }
-                let dst = dst.map(SymRef::SelfLocal);
-                if let Some(d) = dst {
-                    ops.push(BlockOp::Touch(d));
-                }
-                ops.push(BlockOp::ICall {
-                    site: loc,
-                    fnptr,
-                    args,
-                    dst,
-                });
-            }
-        }
-    }
+    let mut block = FuncBlock::default();
+    walk_func(module, fid, None, &mut block);
+    block
 }
 
 // ---------------------------------------------------------------------------
@@ -538,6 +543,10 @@ fn encode_ref(w: &mut ByteWriter, r: SymRef) {
             w.u8(5);
             w.uint(f.0 as u64);
         }
+        SymRef::CtxDummy(site) => {
+            w.u8(6);
+            encode_loc(w, site);
+        }
     }
 }
 
@@ -549,6 +558,7 @@ fn decode_ref(r: &mut ByteReader<'_>) -> Result<SymRef, CodecError> {
         3 => SymRef::CalleeRet(FuncId(r.u32()?)),
         4 => SymRef::GlobalAddr(GlobalId(r.u32()?)),
         5 => SymRef::FuncAddr(FuncId(r.u32()?)),
+        6 => SymRef::CtxDummy(decode_loc(r)?),
         _ => return Err(bad("bad ref tag")),
     })
 }
@@ -568,6 +578,10 @@ fn encode_origin(w: &mut ByteWriter, o: SymOrigin) {
             w.u8(2);
             encode_loc(w, site);
         }
+        SymOrigin::CtxBypass { site } => {
+            w.u8(3);
+            encode_loc(w, site);
+        }
     }
 }
 
@@ -579,6 +593,9 @@ fn decode_origin(r: &mut ByteReader<'_>) -> Result<SymOrigin, CodecError> {
             idx: r.uint()? as usize,
         },
         2 => SymOrigin::CallRet {
+            site: decode_loc(r)?,
+        },
+        3 => SymOrigin::CtxBypass {
             site: decode_loc(r)?,
         },
         _ => return Err(bad("bad origin tag")),
@@ -765,7 +782,7 @@ fn decode_opt_ref(r: &mut ByteReader<'_>) -> Result<Option<SymRef>, CodecError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kaleidoscope_ir::FunctionBuilder;
+    use kaleidoscope_ir::{FunctionBuilder, Operand};
 
     fn sample_module() -> Module {
         let mut m = Module::new("blocks");

@@ -1,20 +1,26 @@
 //! Constraint generation (the "modeling phase" of paper §2.1).
 //!
-//! Walks a module and produces the primitive constraints of Table 1:
-//! Addr-Of, Copy, Load, Store, and Field-Of, plus the two forms the solver
-//! treats specially — arbitrary pointer arithmetic and array element
-//! addresses — and the indirect-call records resolved on the fly.
+//! One walk, `walk_func`, is the only code that maps the IR to
+//! constraints: it walks one function and emits the primitive constraints
+//! of Table 1 — Addr-Of, Copy, Load, Store, and Field-Of, plus the two
+//! forms the solver treats specially (arbitrary pointer arithmetic and
+//! array element addresses) and the indirect-call records resolved on the
+//! fly — as symbolic operations into a sink. The generator here is one
+//! sink: it resolves each symbolic reference against the [`NodeTable`] as
+//! it arrives and builds the [`Program`]. The other sink is the recorder,
+//! [`FuncBlock`](crate::block::FuncBlock), whose recorded operations
+//! replay into this same generator (see [`crate::block`]).
 //!
 //! When a [`CtxPlan`] is supplied (the optimistic context-sensitivity
-//! policy), the critical store/return statements it names are *skipped*
-//! here and replicated per direct callsite through fresh dummy nodes.
+//! policy), the walk skips the critical store/return statements it names
+//! and replicates them per direct callsite through fresh dummy nodes.
 
 use kaleidoscope_ir::{FuncId, Inst, InstLoc, LocalId, Module, Operand, Terminator, Type};
 
 use crate::block::{
-    plan_affected, BlockOp, FuncBlock, ModuleBlocks, SymConstraintKind, SymOrigin, SymRef, SymSite,
+    plan_affected, ModuleBlocks, SelfLoc, SymConstraintKind, SymOrigin, SymRef, SymSite,
 };
-use crate::ctxplan::{ChainStep, CriticalFlow, CtxPlan};
+use crate::ctxplan::{ChainStep, CriticalFlow, CtxPlan, FuncCtxPlan};
 use crate::node::{NodeId, NodeTable, ObjId, ObjSite};
 
 /// Why a primitive constraint exists.
@@ -175,12 +181,341 @@ pub struct Program {
     pub icalls: Vec<IndirectCall>,
 }
 
-struct Gen<'m> {
-    module: &'m Module,
+/// Receives the symbolic operations of [`walk_func`], in order.
+///
+/// Implementations are monomorphized into the walk: the generator
+/// (`Node = NodeId`) and the block recorder (`Node = SymRef`).
+pub(crate) trait Sink {
+    /// What a resolved reference is to this sink.
+    type Node: Copy;
+
+    /// Ensure the object of a self-owned allocation site exists.
+    fn obj(&mut self, site: SymSite, ty: Option<Type>);
+
+    /// Resolve a reference, creating its node if needed.
+    fn node(&mut self, r: SymRef) -> Self::Node;
+
+    /// Emit a constraint over resolved references.
+    fn push(&mut self, kind: SymConstraintKind<Self::Node>, origin: SymOrigin);
+
+    /// Emit an indirect call over resolved references.
+    fn icall(
+        &mut self,
+        site: SelfLoc,
+        fnptr: Self::Node,
+        args: Vec<Option<Self::Node>>,
+        dst: Option<Self::Node>,
+    );
+}
+
+/// Walk function `fid` and emit its constraints into `sink`, applying the
+/// context plan's skipped stores, bypassed returns and per-callsite
+/// replication when `plan` is given.
+pub(crate) fn walk_func<S: Sink>(
+    module: &Module,
+    fid: FuncId,
+    plan: Option<&CtxPlan>,
+    sink: &mut S,
+) {
+    let own = plan.and_then(|p| p.for_func(fid));
+    let bypass_ret = own.is_some_and(FuncCtxPlan::bypasses_ret);
+    for (bid, block) in module.func(fid).iter_blocks() {
+        for (i, inst) in block.insts.iter().enumerate() {
+            let loc = SelfLoc {
+                block: bid.0,
+                inst: i as u32,
+            };
+            walk_inst(module, fid, plan, own, loc, inst, sink);
+        }
+        // Return-value flow: the terminator gets a location one past the
+        // last instruction of its block.
+        if let Terminator::Ret(Some(op)) = &block.term {
+            if !bypass_ret {
+                if let Some(src) = operand(sink, *op) {
+                    let ret = sink.node(SymRef::SelfRet);
+                    let loc = SelfLoc {
+                        block: bid.0,
+                        inst: block.insts.len() as u32,
+                    };
+                    sink.push(
+                        SymConstraintKind::Copy { dst: ret, src },
+                        SymOrigin::Inst(loc),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Resolve an operand; constants have no node.
+fn operand<S: Sink>(sink: &mut S, op: Operand) -> Option<S::Node> {
+    let r = match op {
+        Operand::Local(l) => SymRef::SelfLocal(l),
+        Operand::Global(g) => SymRef::GlobalAddr(g),
+        Operand::Func(f) => SymRef::FuncAddr(f),
+        Operand::ConstInt(_) | Operand::Null => return None,
+    };
+    Some(sink.node(r))
+}
+
+/// `dst = mk(src)` for a single-source instruction: resolve the source,
+/// then the destination, then emit.
+fn unary<S: Sink>(
+    sink: &mut S,
+    loc: SelfLoc,
+    dst: LocalId,
+    src: Operand,
+    mk: impl FnOnce(S::Node, S::Node) -> SymConstraintKind<S::Node>,
+) {
+    if let Some(src) = operand(sink, src) {
+        let dst = sink.node(SymRef::SelfLocal(dst));
+        sink.push(mk(dst, src), SymOrigin::Inst(loc));
+    }
+}
+
+fn walk_inst<S: Sink>(
+    module: &Module,
+    fid: FuncId,
+    plan: Option<&CtxPlan>,
+    own: Option<&FuncCtxPlan>,
+    loc: SelfLoc,
+    inst: &Inst,
+    sink: &mut S,
+) {
+    use SymConstraintKind as K;
+    match inst {
+        Inst::Alloca { dst, ty } => alloc(sink, loc, SymSite::Stack(loc), *dst, Some(ty.clone())),
+        Inst::HeapAlloc { dst, ty } => alloc(sink, loc, SymSite::Heap(loc), *dst, ty.clone()),
+        Inst::Copy { dst, src } => unary(sink, loc, *dst, *src, |dst, src| K::Copy { dst, src }),
+        Inst::Load { dst, src } => unary(sink, loc, *dst, *src, |dst, addr| K::Load { dst, addr }),
+        Inst::Store { dst, src } => {
+            if own.is_some_and(|p| p.bypassed_stores().any(|l| l == loc.rebase(fid))) {
+                return;
+            }
+            // Both operands resolve before either is checked.
+            if let (Some(addr), Some(src)) = (operand(sink, *dst), operand(sink, *src)) {
+                sink.push(K::Store { addr, src }, SymOrigin::Inst(loc));
+            }
+        }
+        Inst::FieldAddr { dst, base, field } => {
+            let idx = *field;
+            unary(sink, loc, *dst, *base, |dst, base| K::Field {
+                dst,
+                base,
+                idx,
+            })
+        }
+        Inst::PtrArith { dst, base, .. } => unary(sink, loc, *dst, *base, |dst, base| {
+            K::PtrArith { dst, base, loc }
+        }),
+        Inst::ElemAddr { dst, base, .. } => {
+            unary(sink, loc, *dst, *base, |dst, base| K::Elem { dst, base })
+        }
+        Inst::BinOp { .. } | Inst::Input { .. } | Inst::Output { .. } => {}
+        Inst::Call { dst, callee, args } => {
+            walk_direct_call(module, plan, loc, *dst, *callee, args, sink)
+        }
+        Inst::CallInd { dst, callee, args } => {
+            if let Some(fnptr) = operand(sink, *callee) {
+                let args = args.iter().map(|a| operand(sink, *a)).collect();
+                let dst = dst.map(|d| sink.node(SymRef::SelfLocal(d)));
+                sink.icall(loc, fnptr, args, dst);
+            }
+        }
+    }
+}
+
+/// An allocation: create the site's object, then `dst = &obj`.
+fn alloc<S: Sink>(sink: &mut S, loc: SelfLoc, site: SymSite, dst: LocalId, ty: Option<Type>) {
+    sink.obj(site, ty);
+    let dst = sink.node(SymRef::SelfLocal(dst));
+    sink.push(
+        SymConstraintKind::AddrOf { dst, obj: site },
+        SymOrigin::Inst(loc),
+    );
+}
+
+fn walk_direct_call<S: Sink>(
+    module: &Module,
+    plan: Option<&CtxPlan>,
+    site: SelfLoc,
+    dst: Option<LocalId>,
+    callee: FuncId,
+    args: &[Operand],
+    sink: &mut S,
+) {
+    use SymConstraintKind as K;
+    let callee_func = module.func(callee);
+    let n = args.len().min(callee_func.param_count);
+    for (idx, arg) in args.iter().take(n).enumerate() {
+        if let Some(src) = operand(sink, *arg) {
+            let dst = sink.node(SymRef::CalleeLocal(callee, LocalId(idx as u32)));
+            sink.push(K::Copy { dst, src }, SymOrigin::CallArg { site, idx });
+        }
+    }
+    let plan = plan.and_then(|p| p.for_func(callee));
+    let bypass = SymOrigin::CtxBypass { site };
+    // Return-value flow: bypassed per-callsite if the plan says so. The
+    // destination resolves even for void callees.
+    if let Some(dst) = dst {
+        let dst = sink.node(SymRef::SelfLocal(dst));
+        match plan.filter(|p| p.bypasses_ret()) {
+            Some(p) => {
+                for flow in &p.flows {
+                    if let CriticalFlow::Ret { param } = flow {
+                        if let Some(src) = args.get(*param).and_then(|a| operand(sink, *a)) {
+                            sink.push(K::Copy { dst, src }, bypass);
+                        }
+                    }
+                }
+            }
+            None if callee_func.ret_ty != Type::Void => {
+                let src = sink.node(SymRef::CalleeRet(callee));
+                sink.push(K::Copy { dst, src }, SymOrigin::CallRet { site });
+            }
+            None => {}
+        }
+    }
+    // Store-flow replication: rebuild the address chain per callsite with
+    // the *actual* arguments, through fresh dummy nodes.
+    let Some(plan) = plan else {
+        return;
+    };
+    for flow in &plan.flows {
+        if let CriticalFlow::Store {
+            base_param,
+            addr_chain,
+            src_param,
+            ..
+        } = flow
+        {
+            let base = args.get(*base_param).and_then(|a| operand(sink, *a));
+            let src = args.get(*src_param).and_then(|a| operand(sink, *a));
+            let (Some(base), Some(src)) = (base, src) else {
+                continue;
+            };
+            let mut cur = base;
+            for step in addr_chain {
+                let d = sink.node(SymRef::CtxDummy(site));
+                let kind = match step {
+                    ChainStep::Field(idx) => K::Field {
+                        dst: d,
+                        base: cur,
+                        idx: *idx,
+                    },
+                    ChainStep::Load => K::Load { dst: d, addr: cur },
+                    ChainStep::Elem => K::Elem { dst: d, base: cur },
+                };
+                sink.push(kind, bypass);
+                cur = d;
+            }
+            sink.push(K::Store { addr: cur, src }, bypass);
+        }
+    }
+}
+
+/// The generator sink: resolves references against the node table of the
+/// program under construction, for the function `fid` being walked or
+/// replayed.
+struct Gen {
     nodes: NodeTable,
     constraints: Vec<Constraint>,
     icalls: Vec<IndirectCall>,
-    ctx_plan: Option<&'m CtxPlan>,
+    fid: FuncId,
+    /// The callsite and number of the last dummy created.
+    last_dummy: Option<(InstLoc, u32)>,
+}
+
+impl Gen {
+    /// The address-constant node of a global's or function's object,
+    /// seeded with the object when first created.
+    fn addr_const(&mut self, site: ObjSite) -> NodeId {
+        let obj = self
+            .nodes
+            .object_at(site)
+            .expect("globals and functions are pre-created");
+        let existed = self.nodes.len();
+        let n = self.nodes.addr_node(obj);
+        if self.nodes.len() != existed {
+            self.constraints.push(Constraint {
+                kind: ConstraintKind::AddrOf { dst: n, obj },
+                origin: Origin::Init,
+            });
+        }
+        n
+    }
+}
+
+impl Sink for Gen {
+    type Node = NodeId;
+
+    fn obj(&mut self, site: SymSite, ty: Option<Type>) {
+        self.nodes.object(site.rebase(self.fid), ty);
+    }
+
+    fn node(&mut self, r: SymRef) -> NodeId {
+        let fid = self.fid;
+        match r {
+            SymRef::SelfLocal(l) => self.nodes.local_node(fid, l),
+            SymRef::SelfRet => self.nodes.ret_node(fid),
+            SymRef::CalleeLocal(f, l) => self.nodes.local_node(f, l),
+            SymRef::CalleeRet(f) => self.nodes.ret_node(f),
+            SymRef::GlobalAddr(g) => self.addr_const(ObjSite::Global(g)),
+            SymRef::FuncAddr(f) => self.addr_const(ObjSite::Func(f)),
+            SymRef::CtxDummy(site) => {
+                // A callsite's dummies are created one after another.
+                let site = site.rebase(fid);
+                let seq = match self.last_dummy {
+                    Some((last, seq)) if last == site => seq + 1,
+                    _ => 0,
+                };
+                self.last_dummy = Some((site, seq));
+                self.nodes.ctx_dummy(site, seq, None)
+            }
+        }
+    }
+
+    fn push(&mut self, kind: SymConstraintKind<NodeId>, origin: SymOrigin) {
+        use SymConstraintKind as K;
+        let kind = match kind {
+            K::AddrOf { dst, obj } => ConstraintKind::AddrOf {
+                dst,
+                obj: self
+                    .nodes
+                    .object_at(obj.rebase(self.fid))
+                    .expect("an Obj op creates the site before its AddrOf"),
+            },
+            K::Copy { dst, src } => ConstraintKind::Copy { dst, src },
+            K::Load { dst, addr } => ConstraintKind::Load { dst, addr },
+            K::Store { addr, src } => ConstraintKind::Store { addr, src },
+            K::Field { dst, base, idx } => ConstraintKind::Field { dst, base, idx },
+            K::PtrArith { dst, base, loc } => ConstraintKind::PtrArith {
+                dst,
+                base,
+                loc: loc.rebase(self.fid),
+            },
+            K::Elem { dst, base } => ConstraintKind::Elem { dst, base },
+        };
+        self.constraints.push(Constraint {
+            kind,
+            origin: origin.rebase(self.fid),
+        });
+    }
+
+    fn icall(
+        &mut self,
+        site: SelfLoc,
+        fnptr: NodeId,
+        args: Vec<Option<NodeId>>,
+        dst: Option<NodeId>,
+    ) {
+        self.icalls.push(IndirectCall {
+            site: site.rebase(self.fid),
+            fnptr,
+            args,
+            dst,
+        });
+    }
 }
 
 /// Generate the constraint program for a module.
@@ -195,22 +530,24 @@ pub fn generate(module: &Module, ctx_plan: Option<&CtxPlan>) -> Program {
 /// for every function the context plan does not touch.
 ///
 /// `blocks` must be index-aligned with `Module::iter_funcs` (ignored when
-/// the lengths disagree). Replay performs exactly the primitive-call
-/// sequence live generation would, so the resulting [`Program`] is
+/// the lengths disagree). A block is the recorded walk of its function, and
+/// replay feeds it to the same generator, so the resulting [`Program`] is
 /// identical — node ids, constraint order, everything — to a fresh
-/// [`generate`]. Functions in [`plan_affected`] are always generated live,
-/// because the bypass rewrites their bodies and callsites.
+/// [`generate`]. Functions in [`plan_affected`] are always walked with the
+/// plan, because the bypass rewrites their bodies and callsites.
+///
+/// [`FuncBlock`]: crate::block::FuncBlock
 pub fn generate_spliced(
     module: &Module,
     ctx_plan: Option<&CtxPlan>,
     blocks: Option<&ModuleBlocks>,
 ) -> Program {
     let mut g = Gen {
-        module,
         nodes: NodeTable::new(),
         constraints: Vec::new(),
         icalls: Vec::new(),
-        ctx_plan,
+        fid: FuncId(0),
+        last_dummy: None,
     };
     // Pre-create objects for globals and functions so their ids are stable
     // regardless of reference order.
@@ -221,21 +558,16 @@ pub fn generate_spliced(
         g.nodes
             .object(ObjSite::Func(fid), Some(Type::Func(f.sig())));
     }
-    match blocks {
-        Some(bs) if bs.funcs.len() == module.iter_funcs().count() => {
-            let affected = plan_affected(module, ctx_plan);
-            for (i, (fid, _)) in module.iter_funcs().enumerate() {
-                if affected.contains(&fid) {
-                    g.gen_func(fid);
-                } else {
-                    g.replay_block(fid, &bs.funcs[i]);
-                }
-            }
-        }
-        _ => {
-            for (fid, _) in module.iter_funcs() {
-                g.gen_func(fid);
-            }
+    let blocks = blocks.filter(|bs| bs.funcs.len() == module.iter_funcs().count());
+    let affected = match blocks {
+        Some(_) => plan_affected(module, ctx_plan),
+        None => Default::default(),
+    };
+    for (i, (fid, _)) in module.iter_funcs().enumerate() {
+        g.fid = fid;
+        match blocks {
+            Some(bs) if !affected.contains(&fid) => bs.funcs[i].replay(&mut g),
+            _ => walk_func(module, fid, ctx_plan, &mut g),
         }
     }
     Program {
@@ -245,389 +577,9 @@ pub fn generate_spliced(
     }
 }
 
-impl<'m> Gen<'m> {
-    fn op_node(&mut self, f: FuncId, op: Operand) -> Option<NodeId> {
-        match op {
-            Operand::Local(l) => Some(self.nodes.local_node(f, l)),
-            Operand::Global(gid) => {
-                let obj = self
-                    .nodes
-                    .object_at(ObjSite::Global(gid))
-                    .expect("globals pre-created");
-                Some(self.addr_const(obj))
-            }
-            Operand::Func(fid) => {
-                let obj = self
-                    .nodes
-                    .object_at(ObjSite::Func(fid))
-                    .expect("functions pre-created");
-                Some(self.addr_const(obj))
-            }
-            Operand::ConstInt(_) | Operand::Null => None,
-        }
-    }
-
-    fn addr_const(&mut self, obj: ObjId) -> NodeId {
-        let existed = self.nodes.len();
-        let n = self.nodes.addr_node(obj);
-        if self.nodes.len() != existed {
-            // Newly created: seed it with the object.
-            self.constraints.push(Constraint {
-                kind: ConstraintKind::AddrOf { dst: n, obj },
-                origin: Origin::Init,
-            });
-        }
-        n
-    }
-
-    /// Resolve a self-relative reference, creating the node if needed —
-    /// the replay counterpart of `op_node`/`local_node`/`ret_node`.
-    fn resolve_ref(&mut self, fid: FuncId, r: SymRef) -> NodeId {
-        match r {
-            SymRef::SelfLocal(l) => self.nodes.local_node(fid, l),
-            SymRef::SelfRet => self.nodes.ret_node(fid),
-            SymRef::CalleeLocal(f, l) => self.nodes.local_node(f, l),
-            SymRef::CalleeRet(f) => self.nodes.ret_node(f),
-            SymRef::GlobalAddr(g) => {
-                let obj = self
-                    .nodes
-                    .object_at(ObjSite::Global(g))
-                    .expect("globals pre-created");
-                self.addr_const(obj)
-            }
-            SymRef::FuncAddr(f) => {
-                let obj = self
-                    .nodes
-                    .object_at(ObjSite::Func(f))
-                    .expect("functions pre-created");
-                self.addr_const(obj)
-            }
-        }
-    }
-
-    fn site_obj(&mut self, fid: FuncId, site: SymSite) -> ObjId {
-        let site = match site {
-            SymSite::Stack(l) => ObjSite::Stack(l.rebase(fid)),
-            SymSite::Heap(l) => ObjSite::Heap(l.rebase(fid)),
-        };
-        self.nodes
-            .object_at(site)
-            .expect("block Obj op precedes uses")
-    }
-
-    /// Replay a recorded plan-free block for function `fid`, reproducing
-    /// live generation's exact node-creation and constraint order.
-    fn replay_block(&mut self, fid: FuncId, block: &FuncBlock) {
-        for op in &block.ops {
-            match op {
-                BlockOp::Obj { site, ty } => {
-                    let site = match site {
-                        SymSite::Stack(l) => ObjSite::Stack(l.rebase(fid)),
-                        SymSite::Heap(l) => ObjSite::Heap(l.rebase(fid)),
-                    };
-                    self.nodes.object(site, ty.clone());
-                }
-                BlockOp::Touch(r) => {
-                    self.resolve_ref(fid, *r);
-                }
-                BlockOp::Push { kind, origin } => {
-                    let kind = match kind {
-                        SymConstraintKind::AddrOf { dst, obj } => ConstraintKind::AddrOf {
-                            dst: self.resolve_ref(fid, *dst),
-                            obj: self.site_obj(fid, *obj),
-                        },
-                        SymConstraintKind::Copy { dst, src } => ConstraintKind::Copy {
-                            dst: self.resolve_ref(fid, *dst),
-                            src: self.resolve_ref(fid, *src),
-                        },
-                        SymConstraintKind::Load { dst, addr } => ConstraintKind::Load {
-                            dst: self.resolve_ref(fid, *dst),
-                            addr: self.resolve_ref(fid, *addr),
-                        },
-                        SymConstraintKind::Store { addr, src } => ConstraintKind::Store {
-                            addr: self.resolve_ref(fid, *addr),
-                            src: self.resolve_ref(fid, *src),
-                        },
-                        SymConstraintKind::Field { dst, base, idx } => ConstraintKind::Field {
-                            dst: self.resolve_ref(fid, *dst),
-                            base: self.resolve_ref(fid, *base),
-                            idx: *idx,
-                        },
-                        SymConstraintKind::PtrArith { dst, base, loc } => {
-                            ConstraintKind::PtrArith {
-                                dst: self.resolve_ref(fid, *dst),
-                                base: self.resolve_ref(fid, *base),
-                                loc: loc.rebase(fid),
-                            }
-                        }
-                        SymConstraintKind::Elem { dst, base } => ConstraintKind::Elem {
-                            dst: self.resolve_ref(fid, *dst),
-                            base: self.resolve_ref(fid, *base),
-                        },
-                    };
-                    let origin = match origin {
-                        SymOrigin::Inst(l) => Origin::Inst(l.rebase(fid)),
-                        SymOrigin::CallArg { site, idx } => Origin::CallArg {
-                            site: site.rebase(fid),
-                            idx: *idx,
-                        },
-                        SymOrigin::CallRet { site } => Origin::CallRet {
-                            site: site.rebase(fid),
-                        },
-                    };
-                    self.constraints.push(Constraint { kind, origin });
-                }
-                BlockOp::ICall {
-                    site,
-                    fnptr,
-                    args,
-                    dst,
-                } => {
-                    let fnptr = self.resolve_ref(fid, *fnptr);
-                    let args = args
-                        .iter()
-                        .map(|a| a.map(|r| self.resolve_ref(fid, r)))
-                        .collect();
-                    let dst = dst.map(|r| self.resolve_ref(fid, r));
-                    self.icalls.push(IndirectCall {
-                        site: site.rebase(fid),
-                        fnptr,
-                        args,
-                        dst,
-                    });
-                }
-            }
-        }
-    }
-
-    fn gen_func(&mut self, fid: FuncId) {
-        let func = self.module.func(fid);
-        let plan = self.ctx_plan.and_then(|p| p.for_func(fid)).cloned();
-        let bypassed_stores: Vec<InstLoc> = plan
-            .as_ref()
-            .map(|p| p.bypassed_stores().collect())
-            .unwrap_or_default();
-        let bypass_ret = plan.as_ref().is_some_and(|p| p.bypasses_ret());
-
-        for (bid, block) in func.iter_blocks() {
-            for (i, inst) in block.insts.iter().enumerate() {
-                let loc = InstLoc::new(fid, bid, i as u32);
-                self.gen_inst(fid, loc, inst, &bypassed_stores);
-            }
-            // Return-value flow: the terminator gets a location one past the
-            // last instruction of its block.
-            if let Terminator::Ret(Some(op)) = &block.term {
-                if !bypass_ret {
-                    if let Some(src) = self.op_node(fid, *op) {
-                        let ret = self.nodes.ret_node(fid);
-                        let loc = InstLoc::new(fid, bid, block.insts.len() as u32);
-                        self.constraints.push(Constraint {
-                            kind: ConstraintKind::Copy { dst: ret, src },
-                            origin: Origin::Inst(loc),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    fn gen_inst(&mut self, fid: FuncId, loc: InstLoc, inst: &Inst, bypassed: &[InstLoc]) {
-        match inst {
-            Inst::Alloca { dst, ty } => {
-                let obj = self.nodes.object(ObjSite::Stack(loc), Some(ty.clone()));
-                let dst = self.nodes.local_node(fid, *dst);
-                self.constraints.push(Constraint {
-                    kind: ConstraintKind::AddrOf { dst, obj },
-                    origin: Origin::Inst(loc),
-                });
-            }
-            Inst::HeapAlloc { dst, ty } => {
-                let obj = self.nodes.object(ObjSite::Heap(loc), ty.clone());
-                let dst = self.nodes.local_node(fid, *dst);
-                self.constraints.push(Constraint {
-                    kind: ConstraintKind::AddrOf { dst, obj },
-                    origin: Origin::Inst(loc),
-                });
-            }
-            Inst::Copy { dst, src } => {
-                if let Some(src) = self.op_node(fid, *src) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Copy { dst, src },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::Load { dst, src } => {
-                if let Some(addr) = self.op_node(fid, *src) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Load { dst, addr },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::Store { dst, src } => {
-                if bypassed.contains(&loc) {
-                    return;
-                }
-                if let (Some(addr), Some(src)) = (self.op_node(fid, *dst), self.op_node(fid, *src))
-                {
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Store { addr, src },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::FieldAddr { dst, base, field } => {
-                if let Some(base) = self.op_node(fid, *base) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Field {
-                            dst,
-                            base,
-                            idx: *field,
-                        },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::PtrArith { dst, base, .. } => {
-                if let Some(base) = self.op_node(fid, *base) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::PtrArith { dst, base, loc },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::ElemAddr { dst, base, .. } => {
-                if let Some(base) = self.op_node(fid, *base) {
-                    let dst = self.nodes.local_node(fid, *dst);
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Elem { dst, base },
-                        origin: Origin::Inst(loc),
-                    });
-                }
-            }
-            Inst::BinOp { .. } | Inst::Input { .. } | Inst::Output { .. } => {}
-            Inst::Call { dst, callee, args } => {
-                self.gen_direct_call(fid, loc, *dst, *callee, args);
-            }
-            Inst::CallInd { dst, callee, args } => {
-                if let Some(fnptr) = self.op_node(fid, *callee) {
-                    let args = args.iter().map(|a| self.op_node(fid, *a)).collect();
-                    let dst = dst.map(|d| self.nodes.local_node(fid, d));
-                    self.icalls.push(IndirectCall {
-                        site: loc,
-                        fnptr,
-                        args,
-                        dst,
-                    });
-                }
-            }
-        }
-    }
-
-    fn gen_direct_call(
-        &mut self,
-        fid: FuncId,
-        site: InstLoc,
-        dst: Option<LocalId>,
-        callee: FuncId,
-        args: &[Operand],
-    ) {
-        let callee_func = self.module.func(callee);
-        let n = args.len().min(callee_func.param_count);
-        for (idx, arg) in args.iter().take(n).enumerate() {
-            if let Some(src) = self.op_node(fid, *arg) {
-                let dst = self.nodes.local_node(callee, LocalId(idx as u32));
-                self.constraints.push(Constraint {
-                    kind: ConstraintKind::Copy { dst, src },
-                    origin: Origin::CallArg { site, idx },
-                });
-            }
-        }
-        let plan = self.ctx_plan.and_then(|p| p.for_func(callee)).cloned();
-        // Return-value flow: bypassed per-callsite if the plan says so.
-        if let Some(dst) = dst {
-            let dst_node = self.nodes.local_node(fid, dst);
-            let bypass_ret = plan.as_ref().is_some_and(|p| p.bypasses_ret());
-            if bypass_ret {
-                for flow in plan.as_ref().map(|p| p.flows.as_slice()).unwrap_or(&[]) {
-                    if let CriticalFlow::Ret { param } = flow {
-                        if let Some(actual) = args.get(*param).and_then(|a| self.op_node(fid, *a)) {
-                            self.constraints.push(Constraint {
-                                kind: ConstraintKind::Copy {
-                                    dst: dst_node,
-                                    src: actual,
-                                },
-                                origin: Origin::CtxBypass { site },
-                            });
-                        }
-                    }
-                }
-            } else if callee_func.ret_ty != Type::Void {
-                let ret = self.nodes.ret_node(callee);
-                self.constraints.push(Constraint {
-                    kind: ConstraintKind::Copy {
-                        dst: dst_node,
-                        src: ret,
-                    },
-                    origin: Origin::CallRet { site },
-                });
-            }
-        }
-        // Store-flow replication: rebuild the address chain per callsite
-        // with the *actual* arguments, through fresh dummy nodes.
-        if let Some(plan) = plan {
-            let mut seq = 0u32;
-            for flow in &plan.flows {
-                if let CriticalFlow::Store {
-                    base_param,
-                    addr_chain,
-                    src_param,
-                    ..
-                } = flow
-                {
-                    let base = args.get(*base_param).and_then(|a| self.op_node(fid, *a));
-                    let src = args.get(*src_param).and_then(|a| self.op_node(fid, *a));
-                    let (Some(base), Some(src)) = (base, src) else {
-                        continue;
-                    };
-                    let mut cur = base;
-                    for step in addr_chain {
-                        let d = self.nodes.ctx_dummy(site, seq, None);
-                        seq += 1;
-                        let kind = match step {
-                            ChainStep::Field(k) => ConstraintKind::Field {
-                                dst: d,
-                                base: cur,
-                                idx: *k,
-                            },
-                            ChainStep::Load => ConstraintKind::Load { dst: d, addr: cur },
-                            ChainStep::Elem => ConstraintKind::Elem { dst: d, base: cur },
-                        };
-                        self.constraints.push(Constraint {
-                            kind,
-                            origin: Origin::CtxBypass { site },
-                        });
-                        cur = d;
-                    }
-                    self.constraints.push(Constraint {
-                        kind: ConstraintKind::Store { addr: cur, src },
-                        origin: Origin::CtxBypass { site },
-                    });
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctxplan::FuncCtxPlan;
     use kaleidoscope_ir::FunctionBuilder;
 
     fn count_kind(p: &Program, pred: impl Fn(&ConstraintKind) -> bool) -> usize {
